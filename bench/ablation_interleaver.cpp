@@ -4,22 +4,27 @@
 // no interleaving; bursts (shadowing transients, colliding frame edges)
 // then concentrate errors in one block. This bench measures frame
 // survival versus burst length with and without a depth-matched
-// interleaver, on the serialized wire representation.
+// interleaver, on the wire bytes of phy::FrameCodec (depth 0 is the
+// paper's format).
 #include <iostream>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "phy/frame.hpp"
+#include "phy/frame_codec.hpp"
 #include "phy/interleaver.hpp"
-#include "phy/reed_solomon.hpp"
 
 namespace {
 
 using namespace densevlc;
 
+/// FrameCodec keeps the SFD/length/dst/src/protocol header in the clear.
+constexpr std::size_t kHeaderBytes = 9;
+
 /// Survival rate of `trials` frames against one burst of `burst_len`
-/// corrupted bytes at a random payload offset, optionally interleaved.
+/// corrupted bytes at a random offset in the protected body (payload +
+/// parity), optionally interleaved.
 double survival(std::size_t burst_len, bool use_interleaver,
                 std::size_t depth, Rng& rng, std::size_t trials) {
   phy::MacFrame frame;
@@ -27,26 +32,20 @@ double survival(std::size_t burst_len, bool use_interleaver,
   for (std::size_t i = 0; i < frame.payload.size(); ++i) {
     frame.payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
   }
-  const auto clean = phy::serialize_frame(frame);
+  const phy::FrameCodec codec{use_interleaver ? depth : 0};
+  const auto clean = codec.encode(frame);
 
   std::size_t survived = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    // Protect payload + parity (bytes 9..end); the 9-byte header rides
-    // in the clear either way.
-    std::vector<std::uint8_t> body(clean.begin() + 9, clean.end());
-    auto wire = use_interleaver ? phy::interleave(body, depth) : body;
-
+    auto wire = clean;
+    const std::size_t body_len = wire.size() - kHeaderBytes;
     const auto start = static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(wire.size() - burst_len)));
+        0, static_cast<std::int64_t>(body_len - burst_len)));
     for (std::size_t i = 0; i < burst_len; ++i) {
-      wire[start + i] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+      wire[kHeaderBytes + start + i] ^=
+          static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     }
-
-    const auto restored =
-        use_interleaver ? phy::deinterleave(wire, depth) : wire;
-    std::vector<std::uint8_t> bytes(clean.begin(), clean.begin() + 9);
-    bytes.insert(bytes.end(), restored.begin(), restored.end());
-    const auto parsed = phy::parse_frame(bytes);
+    const auto parsed = codec.decode(wire);
     survived += parsed && parsed->frame == frame ? 1 : 0;
   }
   return static_cast<double>(survived) / static_cast<double>(trials);

@@ -17,8 +17,9 @@
 //   rs_codec         RS(216, 200) encode + 4-error decode (bytes/s)
 //   manchester       byte round trip, bit loops vs 256-entry LUTs
 //   frontend_filter  TIA + AC + Butterworth + ADC chain (samples/s)
-//   frame_wave       full modulate -> front-end -> demodulate chain on
-//                    the fast path only, asserting zero steady-state
+//   frame_wave       full modulate -> front-end -> demodulate chain
+//                    (a one-lane receive_batch_into), asserting zero
+//                    steady-state
 //                    heap allocations via the alloc_hook counter
 //
 // Fast-path outputs are bit-compared against the scalar baselines; any
@@ -572,8 +573,9 @@ int main(int argc, char** argv) {
     constexpr std::size_t kGuardChips = 64;
 
     phy::OokModulator::TxScratch txs;
-    phy::OokDemodulator::RxScratch rxs;
-    phy::OokDemodulator::RxResult rx;
+    phy::OokDemodulator::BatchRxScratch rxs;
+    phy::OokDemodulator::RxResult rx[1];
+    std::uint8_t rx_ok[1] = {0};
     dsp::Waveform wf;
     dsp::Waveform optical;
     dsp::Waveform rx_wf;
@@ -586,8 +588,9 @@ int main(int argc, char** argv) {
         optical.samples[i] = kOpticalWPerAmp * wf.samples[i];
       }
       fe.process_into(optical, rx_wf);
-      if (!demod.receive_frame_into(rx_wf.samples, rx, rxs)) return false;
-      return rx.parsed.frame.payload == f.payload;
+      const std::span<const double> lanes[] = {rx_wf.samples};
+      if (demod.receive_batch_into(lanes, rx, rx_ok, rxs) != 1) return false;
+      return rx[0].parsed.frame.payload == f.payload;
     };
 
     for (std::size_t i = 0; i < 2; ++i) {  // warm-up (and filter settling)

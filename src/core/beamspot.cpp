@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/contracts.hpp"
 #include "dsp/snr_estimator.hpp"
@@ -14,7 +15,13 @@ JointTransmission::JointTransmission(const optics::LedModel& led,
     : led_{led}, ook_{ook}, frontend_{frontend} {}
 
 double JointTransmission::frame_airtime_s(const phy::MacFrame& frame) const {
-  const auto chips = phy::frame_to_chips(frame).size();
+  if (frame.payload.size() > phy::kMaxPayload) {
+    throw std::invalid_argument{"frame_airtime_s: payload exceeds kMaxPayload"};
+  }
+  // Preamble chips plus 16 Manchester chips per serialized byte.
+  const std::size_t chips =
+      phy::kPreambleChips +
+      16 * phy::serialized_frame_bytes(frame.payload.size());
   return static_cast<double>(chips) / ook_.chip_rate_hz;
 }
 
@@ -97,28 +104,10 @@ TransmissionOutcome JointTransmission::transmit(
     std::span<const ServingTx> servers, const phy::MacFrame& frame,
     Rng& rng, std::span<const InterfererGroup> interferers,
     double ambient_optical_w) const {
+  const TransmitJob job{servers, &frame, interferers, ambient_optical_w};
   TransmissionOutcome out;
-  if (servers.empty()) return out;
-
-  dsp::Waveform optical;
-  render_optical_into(servers, frame, interferers, ambient_optical_w,
-                      optical);
-
-  phy::ReceiverFrontEnd fe{frontend_, rng.fork()};
-  const dsp::Waveform rx = fe.process(optical);
-
-  const phy::OokDemodulator demod{ook_.chip_rate_hz,
-                                  frontend_.adc.sample_rate_hz};
-  const auto result = demod.receive_frame(rx.samples);
-  if (!result) return out;
-
-  out.preamble_found = true;
-  out.correlation = result->correlation;
-  out.corrected_bytes = result->parsed.corrected_bytes;
-  out.delivered = result->parsed.frame == frame;
-  if (const auto snr = dsp::m2m4_snr(rx.samples)) {
-    out.snr_estimate_db = snr->snr_db;
-  }
+  TransmitBatchScratch scratch;
+  transmit_batch({&job, 1}, rng, {&out, 1}, scratch);
   return out;
 }
 
@@ -134,7 +123,7 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
   scratch.active.clear();
   for (std::size_t i = 0; i < n; ++i) {
     outcomes[i] = TransmissionOutcome{};
-    if (jobs[i].servers.empty()) continue;  // scalar path never forks here
+    if (jobs[i].servers.empty()) continue;  // no lane, no fork
     render_optical_into(jobs[i].servers, *jobs[i].frame, jobs[i].interferers,
                         jobs[i].ambient_optical_w, scratch.optical[i]);
     scratch.active.push_back(i);
@@ -142,8 +131,8 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
   const std::size_t m = scratch.active.size();
 
   // Rendering draws nothing from `rng`, so forking all noise substreams
-  // here — in job order — yields the exact per-lane streams of the
-  // sequential transmit() calls.
+  // here — in job order — yields the exact per-lane streams of a
+  // sequence of one-job calls.
   scratch.fes.clear();
   scratch.fes.reserve(m);
   scratch.fe_ptrs.resize(m);
@@ -173,7 +162,7 @@ void JointTransmission::transmit_batch(std::span<const TransmitJob> jobs,
                            scratch.rx_scratch);
 
   for (std::size_t j = 0; j < m; ++j) {
-    if (scratch.ok[j] == 0) continue;  // scalar leaves the default outcome
+    if (scratch.ok[j] == 0) continue;  // keeps the default outcome
     const std::size_t lane = scratch.active[j];
     const phy::OokDemodulator::RxResult& r = scratch.results[j];
     TransmissionOutcome& out = outcomes[lane];

@@ -55,13 +55,16 @@ class JointTransmission {
   /// start offsets) and attempts reception. `interferers` radiate their
   /// own frames on the same timeline. `ambient_optical_w` adds a constant
   /// ambient-light term (stripped by AC coupling but consuming ADC
-  /// headroom).
+  /// headroom). A one-job transmit_batch with a fresh scratch.
   TransmissionOutcome transmit(std::span<const ServingTx> servers,
                                const phy::MacFrame& frame, Rng& rng,
                                std::span<const InterfererGroup> interferers = {},
                                double ambient_optical_w = 0.0) const;
 
-  /// On-air duration of a frame [s] (chips / chip rate), excluding guards.
+  /// On-air duration of a frame [s] (preamble + Manchester chips of the
+  /// serialized frame, over the chip rate), excluding guards. Throws
+  /// std::invalid_argument on payloads over kMaxPayload, like the
+  /// serializer.
   double frame_airtime_s(const phy::MacFrame& frame) const;
 
   // --- Batch transmission path (see phy/frame_batch.hpp) ----------------
@@ -92,18 +95,16 @@ class JointTransmission {
     phy::OokDemodulator::BatchRxScratch rx_scratch;
   };
 
-  /// Transmits every job and fills outcomes[i] exactly as the equivalent
-  /// sequence of transmit() calls would — bit-identical outcomes and Rng
-  /// stream (lanes render first, which draws nothing; noise substreams
-  /// fork in job order, skipping lanes with no servers, exactly like the
-  /// sequential early-return). The receive side runs the batch front-end
-  /// and demodulator paths.
+  /// Transmits every job and fills outcomes[i]. Lanes are independent:
+  /// the outcomes and the Rng stream equal those of one call per job
+  /// (lanes render first, which draws nothing; noise substreams fork in
+  /// job order, skipping lanes with no servers, which draw nothing). The
+  /// receive side runs the batch front-end and demodulator paths.
   void transmit_batch(std::span<const TransmitJob> jobs, Rng& rng,
                       std::span<TransmissionOutcome> outcomes,
                       TransmitBatchScratch& scratch) const;
 
  private:
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void render_optical_into(std::span<const ServingTx> servers,
                            const phy::MacFrame& frame,
                            std::span<const InterfererGroup> interferers,

@@ -148,21 +148,14 @@ std::optional<ParsedFrame> parse_frame(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
-                         std::vector<std::uint8_t>& wire_scratch) {
-  serialize_frame_into(frame, wire_scratch);
-  arena_resize(out, kPreambleChips + wire_scratch.size() * 16);
+std::vector<Chip> frame_to_chips(const MacFrame& frame) {
+  std::vector<std::uint8_t> wire;
+  serialize_frame_into(frame, wire);
+  std::vector<Chip> out(kPreambleChips + wire.size() * 16);
   const auto pre = preamble_pattern();
   std::copy(pre.begin(), pre.end(), out.begin());
-  manchester_encode_bytes(wire_scratch,
-                          std::span<Chip>{out}.subspan(kPreambleChips));
-}
-
-std::vector<Chip> frame_to_chips(const MacFrame& frame) {
-  std::vector<Chip> chips;
-  std::vector<std::uint8_t> wire;
-  frame_to_chips_into(frame, chips, wire);
-  return chips;
+  manchester_encode_bytes(wire, std::span<Chip>{out}.subspan(kPreambleChips));
+  return out;
 }
 
 std::vector<std::uint8_t> serialize_controller_frame(

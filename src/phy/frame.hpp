@@ -114,12 +114,6 @@ void serialize_frame_into(const MacFrame& frame,
 [[nodiscard]] bool parse_frame_into(std::span<const std::uint8_t> bytes,
                                     ParsedFrame& out, FrameScratch& scratch);
 
-/// frame_to_chips into a reused chip buffer; `wire_scratch` holds the
-/// serialized bytes between calls (the byte-at-a-time Manchester LUT
-/// encodes them straight into `out`).
-void frame_to_chips_into(const MacFrame& frame, std::vector<Chip>& out,
-                         std::vector<std::uint8_t>& wire_scratch);
-
 /// Controller -> TX Ethernet encapsulation (Sec. 7.2): 64-bit mask of TX
 /// ids that must transmit, the appointed leading TX, and the MAC frame.
 struct ControllerFrame {

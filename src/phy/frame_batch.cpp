@@ -25,8 +25,9 @@ std::size_t blocks_for(std::size_t payload_bytes) {
   return (payload_bytes + kRsBlockData - 1) / kRsBlockData;
 }
 
-}  // namespace
-
+// Paper-format serialization of every frame into `batch.wire` (extents in
+// `batch.lanes`): per lane bit-identical to serialize_frame_into, with
+// all RS parity routed through the batch column kernels.
 void serialize_frames_batch(std::span<const MacFrame* const> frames,
                             FrameBatch& batch) {
   const std::size_t n = frames.size();
@@ -72,6 +73,8 @@ void serialize_frames_batch(std::span<const MacFrame* const> frames,
   DVLC_ASSERT(job == total_blocks, "encode batch block accounting drifted");
   frame_rs_codec().encode_parity_batch(batch.parity_jobs, batch.rs);
 }
+
+}  // namespace
 
 void encode_frames_batch(const FrameCodec& codec,
                          std::span<const MacFrame* const> frames,

@@ -55,13 +55,6 @@ struct FrameBatch {
   }
 };
 
-/// Serializes every frame into `batch.wire` (extents in `batch.lanes`,
-/// readable via lane_wire), paper format (no interleaving). Per lane
-/// bit-identical to serialize_frame_into; throws std::invalid_argument
-/// on over-long payloads like the scalar path.
-void serialize_frames_batch(std::span<const MacFrame* const> frames,
-                            FrameBatch& batch);
-
 /// Encodes every frame into `batch.wire` (extents in `batch.lanes`,
 /// readable via lane_wire). Per lane bit-identical to
 /// codec.encode_into; throws std::invalid_argument on over-long payloads

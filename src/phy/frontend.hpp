@@ -71,7 +71,6 @@ class ReceiverFrontEnd {
   /// biquad kernel. Lanes are grouped in encounter order; groups with
   /// mismatched filter shapes and ragged tails fall back to the scalar
   /// cascades, whose state continues seamlessly.
-  // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   static void process_batch_into(std::span<ReceiverFrontEnd* const> fes,
                                  std::span<const dsp::Waveform* const> optical,
                                  std::span<dsp::Waveform* const> out,
@@ -86,11 +85,8 @@ class ReceiverFrontEnd {
   // The three stages of process_into, split so the batch path can run
   // them per lane / per quad: ZOH resample + noise + TIA, the AC-coupled
   // gain and anti-aliasing filters, and the ADC round trip.
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void front_half_into(const dsp::Waveform& optical, dsp::Waveform& out);
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void filters_into(dsp::Waveform& out);
-  // DVLC_LINT_WAIVE(api-into-wrapper): private pipeline stage, not an API
   void adc_into(dsp::Waveform& out);
 
   FrontEndConfig cfg_;

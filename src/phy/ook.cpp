@@ -10,48 +10,6 @@
 #include "dsp/correlate.hpp"
 
 namespace densevlc::phy {
-namespace {
-
-// Chip assembly + rendering shared by the scalar and batch modulator
-// paths: wire bytes in, guard/pilot/preamble/data current waveform out.
-void render_wire_into(const OokModulator& mod,
-                      std::span<const std::uint8_t> wire, bool include_pilot,
-                      std::uint8_t tx_id, std::size_t guard_chips,
-                      dsp::Waveform& wf, std::vector<Chip>& chip_scratch) {
-  const auto pilot = pilot_pattern();
-  const auto pre = preamble_pattern();
-  const std::size_t pilot_chips =
-      include_pilot ? pilot.size() + 16 : 0;  // 16 chips: Manchester id byte
-  const std::size_t total_chips =
-      pilot_chips + pre.size() + wire.size() * 16;
-  arena_resize(chip_scratch, total_chips);
-  std::span<Chip> at{chip_scratch};
-  if (include_pilot) {
-    std::copy(pilot.begin(), pilot.end(), at.begin());
-    const std::array<std::uint8_t, 1> id_byte{tx_id};
-    manchester_encode_bytes(id_byte, at.subspan(pilot.size(), 16));
-    at = at.subspan(pilot_chips);
-  }
-  std::copy(pre.begin(), pre.end(), at.begin());
-  manchester_encode_bytes(wire, at.subspan(pre.size()));
-
-  // Render guard + data + guard in one buffer.
-  wf.sample_rate_hz = mod.params().sample_rate_hz();
-  const std::size_t spc = mod.params().samples_per_chip;
-  const std::size_t guard_samples = guard_chips * spc;
-  arena_resize(wf.samples, guard_samples * 2 + total_chips * spc);
-  std::size_t w = 0;
-  for (std::size_t s = 0; s < guard_samples; ++s)
-    wf.samples[w++] = mod.params().bias_current_a;
-  for (Chip c : chip_scratch) {
-    const double level = mod.chip_current(c);
-    for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
-  }
-  for (std::size_t s = 0; s < guard_samples; ++s)
-    wf.samples[w++] = mod.params().bias_current_a;
-}
-
-}  // namespace
 
 double OokModulator::chip_current(Chip chip) const {
   const double half = params_.swing_current_a / 2.0;
@@ -59,8 +17,8 @@ double OokModulator::chip_current(Chip chip) const {
                              : params_.bias_current_a - half;
 }
 
-void OokModulator::modulate_into(std::span<const Chip> chips,
-                                 dsp::Waveform& wf) const {
+dsp::Waveform OokModulator::modulate(std::span<const Chip> chips) const {
+  dsp::Waveform wf;
   wf.sample_rate_hz = params_.sample_rate_hz();
   const std::size_t spc = params_.samples_per_chip;
   arena_resize(wf.samples, chips.size() * spc);
@@ -69,23 +27,14 @@ void OokModulator::modulate_into(std::span<const Chip> chips,
     const double level = chip_current(c);
     for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
   }
-}
-
-dsp::Waveform OokModulator::modulate(std::span<const Chip> chips) const {
-  dsp::Waveform wf;
-  modulate_into(chips, wf);
   return wf;
-}
-
-void OokModulator::idle_into(std::size_t idle_chips, dsp::Waveform& wf) const {
-  wf.sample_rate_hz = params_.sample_rate_hz();
-  arena_resize(wf.samples, idle_chips * params_.samples_per_chip);
-  for (double& v : wf.samples) v = params_.bias_current_a;
 }
 
 dsp::Waveform OokModulator::idle(std::size_t idle_chips) const {
   dsp::Waveform wf;
-  idle_into(idle_chips, wf);
+  wf.sample_rate_hz = params_.sample_rate_hz();
+  arena_resize(wf.samples, idle_chips * params_.samples_per_chip);
+  for (double& v : wf.samples) v = params_.bias_current_a;
   return wf;
 }
 
@@ -96,34 +45,37 @@ void OokModulator::modulate_frame_into(const MacFrame& frame,
                                        TxScratch& scratch) const {
   // Assemble the on-air chip sequence: [pilot + id] preamble + data.
   serialize_frame_into(frame, scratch.wire);
-  render_wire_into(*this, scratch.wire, include_pilot, tx_id, guard_chips, wf,
-                   scratch.chips);
-}
-
-void OokModulator::modulate_batch_into(std::span<const TxJob> jobs,
-                                       std::span<dsp::Waveform* const> out,
-                                       TxBatchScratch& scratch) const {
-  const std::size_t n = jobs.size();
-  DVLC_EXPECT(out.size() == n,
-              "modulate_batch_into: one output waveform per job");
-  arena_resize(scratch.frames, n);
-  for (std::size_t i = 0; i < n; ++i) scratch.frames[i] = jobs[i].frame;
-  serialize_frames_batch(scratch.frames, scratch.batch);
-  for (std::size_t i = 0; i < n; ++i) {
-    render_wire_into(*this, scratch.batch.lane_wire(i), jobs[i].include_pilot,
-                     jobs[i].tx_id, jobs[i].guard_chips, *out[i],
-                     scratch.chips);
+  const auto pilot = pilot_pattern();
+  const auto pre = preamble_pattern();
+  const std::size_t pilot_chips =
+      include_pilot ? pilot.size() + 16 : 0;  // 16 chips: Manchester id byte
+  const std::size_t total_chips =
+      pilot_chips + pre.size() + scratch.wire.size() * 16;
+  arena_resize(scratch.chips, total_chips);
+  std::span<Chip> at{scratch.chips};
+  if (include_pilot) {
+    std::copy(pilot.begin(), pilot.end(), at.begin());
+    const std::array<std::uint8_t, 1> id_byte{tx_id};
+    manchester_encode_bytes(id_byte, at.subspan(pilot.size(), 16));
+    at = at.subspan(pilot_chips);
   }
-}
+  std::copy(pre.begin(), pre.end(), at.begin());
+  manchester_encode_bytes(scratch.wire, at.subspan(pre.size()));
 
-dsp::Waveform OokModulator::modulate_frame(const MacFrame& frame,
-                                           bool include_pilot,
-                                           std::uint8_t tx_id,
-                                           std::size_t guard_chips) const {
-  dsp::Waveform wf;
-  TxScratch scratch;
-  modulate_frame_into(frame, include_pilot, tx_id, guard_chips, wf, scratch);
-  return wf;
+  // Render guard + data + guard in one buffer.
+  wf.sample_rate_hz = params_.sample_rate_hz();
+  const std::size_t spc = params_.samples_per_chip;
+  const std::size_t guard_samples = guard_chips * spc;
+  arena_resize(wf.samples, guard_samples * 2 + total_chips * spc);
+  std::size_t w = 0;
+  for (std::size_t s = 0; s < guard_samples; ++s)
+    wf.samples[w++] = params_.bias_current_a;
+  for (Chip c : scratch.chips) {
+    const double level = chip_current(c);
+    for (std::size_t s = 0; s < spc; ++s) wf.samples[w++] = level;
+  }
+  for (std::size_t s = 0; s < guard_samples; ++s)
+    wf.samples[w++] = params_.bias_current_a;
 }
 
 void OokDemodulator::slice_chips_into(std::span<const double> signal,
@@ -171,50 +123,6 @@ void OokDemodulator::preamble_template_into(std::vector<double>& tpl) const {
   }
 }
 
-std::vector<double> OokDemodulator::preamble_template() const {
-  std::vector<double> tpl;
-  preamble_template_into(tpl);
-  return tpl;
-}
-
-bool OokDemodulator::receive_frame_into(std::span<const double> signal,
-                                        RxResult& out, RxScratch& scratch,
-                                        double min_correlation) const {
-  preamble_template_into(scratch.preamble_tpl);
-  const auto peak = dsp::detect_pattern_into(signal, scratch.preamble_tpl,
-                                             min_correlation,
-                                             scratch.correlate);
-  if (!peak) return false;
-
-  const double spc = samples_per_chip();
-  const double data_start =
-      static_cast<double>(peak->index) +
-      static_cast<double>(kPreambleChips) * spc;
-
-  // First decode the 9 header bytes (9 * 8 bits * 2 chips).
-  constexpr std::size_t kHeaderBytes = 9;
-  slice_chips_into(signal, data_start, kHeaderBytes * 16, scratch.chips);
-  std::array<std::uint8_t, kHeaderBytes> head_bytes{};
-  manchester_decode_bytes_lenient(scratch.chips, head_bytes);
-  if (head_bytes[0] != kSfd) return false;
-  const std::uint16_t length = static_cast<std::uint16_t>(
-      (head_bytes[1] << 8) | head_bytes[2]);
-  if (length > kMaxPayload) return false;
-
-  const std::size_t total_bytes = serialized_frame_bytes(length);
-  slice_chips_into(signal, data_start, total_bytes * 16, scratch.chips);
-  arena_resize(scratch.bytes, total_bytes);
-  const std::size_t violations =
-      manchester_decode_bytes_lenient(scratch.chips, scratch.bytes);
-  if (!parse_frame_into(scratch.bytes, out.parsed, scratch.frame))
-    return false;
-
-  out.preamble_at = peak->index;
-  out.correlation = peak->score;
-  out.manchester_violations = violations;
-  return true;
-}
-
 std::size_t OokDemodulator::receive_batch_into(
     std::span<const std::span<const double>> signals, std::span<RxResult> out,
     std::span<std::uint8_t> ok, BatchRxScratch& scratch,
@@ -229,10 +137,10 @@ std::size_t OokDemodulator::receive_batch_into(
   arena_resize(scratch.parse_ok, n);
   arena_resize(scratch.lane_of, n);
 
-  // Front half per lane — sync search, header peek, chip slicing, lenient
-  // Manchester decode — exactly as receive_frame_into up to the parse.
-  // Lanes that survive collect their wire bytes (kept per lane so spans
-  // stay stable) for one combined parse_frames_batch call.
+  // Front half per lane: sync search, header peek, chip slicing, lenient
+  // Manchester decode. Lanes that survive collect their wire bytes (kept
+  // per lane so spans stay stable) for one combined parse_frames_batch
+  // call.
   std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ok[i] = 0;
@@ -280,15 +188,6 @@ std::size_t OokDemodulator::receive_batch_into(
     decoded += scratch.parse_ok[j];
   }
   return decoded;
-}
-
-std::optional<OokDemodulator::RxResult> OokDemodulator::receive_frame(
-    std::span<const double> signal, double min_correlation) const {
-  RxScratch scratch;
-  RxResult out;
-  if (!receive_frame_into(signal, out, scratch, min_correlation))
-    return std::nullopt;
-  return out;
 }
 
 }  // namespace densevlc::phy

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,59 +49,20 @@ class OokModulator {
   /// Renders `idle_chips` of illumination-level bias current.
   dsp::Waveform idle(std::size_t idle_chips) const;
 
-  /// Full frame waveform: optional pilot + TX id byte (leading TX only),
-  /// preamble, Manchester data; padded with `guard_chips` of bias before
-  /// and after.
-  dsp::Waveform modulate_frame(const MacFrame& frame, bool include_pilot,
-                               std::uint8_t tx_id,
-                               std::size_t guard_chips) const;
-
-  // --- Zero-allocation overloads (see common/arena.hpp) -----------------
-
-  /// Reusable TX workspace: on-air chip staging plus serialized bytes.
+  /// Reusable TX workspace: on-air chip staging plus serialized bytes
+  /// (see common/arena.hpp).
   struct TxScratch {
     std::vector<Chip> chips;
     std::vector<std::uint8_t> wire;
   };
 
-  /// modulate into a reused waveform.
-  void modulate_into(std::span<const Chip> chips, dsp::Waveform& wf) const;
-
-  /// idle into a reused waveform.
-  void idle_into(std::size_t idle_chips, dsp::Waveform& wf) const;
-
-  /// modulate_frame into a reused waveform; bit-identical samples.
+  /// Full frame waveform into a reused buffer: optional pilot + TX id
+  /// byte (leading TX only), preamble, Manchester data; padded with
+  /// `guard_chips` of bias before and after. Throws
+  /// std::invalid_argument on over-long payloads.
   void modulate_frame_into(const MacFrame& frame, bool include_pilot,
                            std::uint8_t tx_id, std::size_t guard_chips,
                            dsp::Waveform& wf, TxScratch& scratch) const;
-
-  // --- Batch-of-frames path (see phy/frame_batch.hpp) -------------------
-
-  /// One lane of modulate_batch_into: the arguments of a
-  /// modulate_frame_into call.
-  struct TxJob {
-    const MacFrame* frame = nullptr;
-    bool include_pilot = false;
-    std::uint8_t tx_id = 0;
-    std::size_t guard_chips = 0;
-  };
-
-  /// Batch TX workspace: frame pointer staging, chip staging, and the
-  /// batch codec scratch all RS parity work is routed through.
-  struct TxBatchScratch {
-    std::vector<const MacFrame*> frames;
-    std::vector<Chip> chips;
-    FrameBatch batch;
-  };
-
-  /// Renders every job's frame into *out[i]. Per lane bit-identical to
-  /// modulate_frame_into; serialization of all lanes runs through the
-  /// batch Reed-Solomon column kernels. Throws std::invalid_argument on
-  /// over-long payloads like the scalar path.
-  // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
-  void modulate_batch_into(std::span<const TxJob> jobs,
-                           std::span<dsp::Waveform* const> out,
-                           TxBatchScratch& scratch) const;
 
  private:
   OokParams params_;
@@ -123,9 +83,15 @@ class OokDemodulator {
                                 double offset_samples,
                                 std::size_t count) const;
 
+  /// slice_chips into a reused chip buffer.
+  void slice_chips_into(std::span<const double> signal, double offset_samples,
+                        std::size_t count, std::vector<Chip>& out) const;
+
   /// Builds the reference preamble waveform (+1/-1 chips) at the
-  /// demodulator sample rate, for correlation search.
-  std::vector<double> preamble_template() const;
+  /// demodulator sample rate, for correlation search, into a reused
+  /// buffer. Rebuilt from the pattern each call (cheap), so the scratch
+  /// can never go stale across demodulators.
+  void preamble_template_into(std::vector<double>& tpl) const;
 
   /// Result of a frame reception attempt.
   struct RxResult {
@@ -135,47 +101,11 @@ class OokDemodulator {
     std::size_t manchester_violations = 0;
   };
 
-  /// Searches for a preamble and decodes one frame from the signal.
-  /// `min_correlation` rejects noise-triggered syncs. Returns nullopt when
-  /// no preamble is found or the frame fails to decode (counts as a frame
-  /// error at the MAC).
-  std::optional<RxResult> receive_frame(std::span<const double> signal,
-                                        double min_correlation = 0.6) const;
-
-  // --- Zero-allocation overloads (see common/arena.hpp) -----------------
-
-  /// Reusable RX workspace spanning the whole receive chain: preamble
-  /// template, correlation search, chip slicing, decoded bytes, and the
-  /// frame parser's Reed-Solomon buffers.
-  struct RxScratch {
-    std::vector<double> preamble_tpl;
-    dsp::CorrelateScratch correlate;
-    std::vector<Chip> chips;
-    std::vector<std::uint8_t> bytes;
-    FrameScratch frame;
-  };
-
-  /// slice_chips into a reused chip buffer.
-  void slice_chips_into(std::span<const double> signal, double offset_samples,
-                        std::size_t count, std::vector<Chip>& out) const;
-
-  /// preamble_template into a reused buffer. Rebuilt from the pattern each
-  /// call (cheap), so the scratch can never go stale across demodulators.
-  void preamble_template_into(std::vector<double>& tpl) const;
-
-  /// receive_frame into a reused result; false replaces nullopt. The fused
-  /// byte-at-a-time Manchester decode replaces the bit-level pipeline and
-  /// is bit-identical to it (differential suite in tests/phy).
-  [[nodiscard]] bool receive_frame_into(std::span<const double> signal,
-                                        RxResult& out, RxScratch& scratch,
-                                        double min_correlation = 0.6) const;
-
-  // --- Batch-of-frames path (see phy/frame_batch.hpp) -------------------
-
-  /// Batch RX workspace: the per-lane front half (template, correlation,
+  /// Receive workspace: the per-lane front half (template, correlation,
   /// chip slicing) shares one set of buffers; decoded wire bytes are kept
   /// per lane so every surviving lane's parse runs through the batch
-  /// Reed-Solomon path at once.
+  /// Reed-Solomon path at once (see phy/frame_batch.hpp). Reuse it across
+  /// calls; zero allocations once warm (see common/arena.hpp).
   struct BatchRxScratch {
     std::vector<double> preamble_tpl;
     dsp::CorrelateScratch correlate;
@@ -188,11 +118,14 @@ class OokDemodulator {
     FrameBatch batch;
   };
 
-  /// Receives one frame per signal lane: out[i]/ok[i] mirror a
-  /// receive_frame_into(signals[i], out[i], ...) call — bit-identical
-  /// accept/reject decisions and results; failed lanes (ok[i] == 0) must
+  /// The receiver: searches each signal lane for a preamble and decodes
+  /// one frame from it (a single frame is a batch of one). Per lane: sync
+  /// search with `min_correlation` rejecting noise-triggered syncs, a
+  /// header peek (SFD and length), chip slicing, the fused lenient
+  /// Manchester decode, then the RS parse. ok[i] = 1 when lane i decoded
+  /// into out[i]; failed lanes (no preamble, bad header, uncorrectable
+  /// RS block — a frame error at the MAC) have ok[i] == 0 and out[i] must
   /// not be read. Returns the number of decoded lanes.
-  // DVLC_LINT_WAIVE(api-into-wrapper): batch outputs are caller-owned spans
   std::size_t receive_batch_into(
       std::span<const std::span<const double>> signals,
       std::span<RxResult> out, std::span<std::uint8_t> ok,

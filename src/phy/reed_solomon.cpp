@@ -109,13 +109,6 @@ void ReedSolomon::encode_parity_into(std::span<const std::uint8_t> message,
   }
 }
 
-std::vector<std::uint8_t> ReedSolomon::encode_parity(
-    std::span<const std::uint8_t> message) const {
-  std::vector<std::uint8_t> parity(n_parity_, 0);
-  encode_parity_into(message, parity);
-  return parity;
-}
-
 void ReedSolomon::encode_into(std::span<const std::uint8_t> message,
                               std::vector<std::uint8_t>& out) const {
   if (message.size() + n_parity_ > 255) {

@@ -97,11 +97,6 @@ class ReedSolomon {
   void encode_parity_into(std::span<const std::uint8_t> message,
                           std::span<std::uint8_t> parity) const;
 
-  /// Value-returning wrapper: the parity bytes of `message` as a fresh
-  /// vector of parity_symbols() bytes.
-  std::vector<std::uint8_t> encode_parity(
-      std::span<const std::uint8_t> message) const;
-
   /// encode() into a reused buffer (message followed by parity). Throws
   /// like encode() on over-long messages. `out` must not alias `message`.
   void encode_into(std::span<const std::uint8_t> message,

@@ -1,0 +1,12 @@
+// Consumer TU: references every declaration in scratch_params.hpp so
+// the dead-api pass sees external uses; the api-scratch-ref findings
+// under test live in the header.
+namespace densevlc::phy {
+
+void exercise_scratch_params(DemodScratch& scratch) {
+  run_const(scratch);
+  run_by_value(scratch);
+  run_ok(scratch);
+}
+
+}  // namespace densevlc::phy

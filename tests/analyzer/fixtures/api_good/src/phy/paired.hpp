@@ -1,4 +1,5 @@
-// Fixture: the into/value pair and the scratch convention, followed.
+// Fixture: the scratch convention followed, with an into/value pair
+// whose signatures stay paired.
 #pragma once
 
 #include <vector>

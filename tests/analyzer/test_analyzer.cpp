@@ -431,7 +431,6 @@ TEST(ProjectIndex, ExternalUsesExcludesOwnPair) {
     index.files.push_back(summarize(u, build_scope_tree(u.tokens)));
   }
   EXPECT_GT(index.external_uses("helper", "src/phy/helper.hpp"), 0u);
-  EXPECT_TRUE(index.is_called("helper"));
 }
 
 // --- incremental cache ----------------------------------------------------
@@ -444,7 +443,6 @@ CacheEntry sample_entry() {
   entry.summary.includes.push_back({"common/rng.hpp", 3});
   entry.summary.waivers["units"].insert(7);
   entry.summary.symbols.push_back({"helper", 4, 2, false});
-  entry.summary.called_names.insert("helper");
   entry.summary.ident_uses["helper"] = 2;
   entry.findings.push_back(
       {"banned", "src/a.cpp", 9, "rand", "message with\ttab and\nnewline"});

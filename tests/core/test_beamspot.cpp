@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/testbed.hpp"
@@ -123,12 +124,20 @@ TEST(Beamspot, AmbientLightDoesNotBlockDecoding) {
 }
 
 TEST(Beamspot, AirtimeMatchesChipCount) {
+  // The RS block edges (0, 1, 200, 201 bytes) and kMaxPayload, plus one
+  // ordinary size: airtime must count exactly the chips of the rendered
+  // frame.
   Fixture f;
-  const auto frame = f.frame(100);
-  const double airtime = f.jt.frame_airtime_s(frame);
-  const double expected =
-      static_cast<double>(phy::frame_to_chips(frame).size()) / 100e3;
-  EXPECT_DOUBLE_EQ(airtime, expected);
+  for (const std::size_t len : {0, 1, 100, 200, 201, 1500}) {
+    const auto frame = f.frame(len);
+    const double airtime = f.jt.frame_airtime_s(frame);
+    const double expected =
+        static_cast<double>(phy::frame_to_chips(frame).size()) / 100e3;
+    EXPECT_DOUBLE_EQ(airtime, expected) << "payload " << len;
+  }
+  // Like the serializer, an over-long payload is rejected.
+  EXPECT_THROW(f.jt.frame_airtime_s(f.frame(phy::kMaxPayload + 1)),
+               std::invalid_argument);
 }
 
 TEST(Beamspot, RsCorrectionsReported) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "alloc/assignment.hpp"
 #include "alloc/greedy.hpp"
@@ -182,13 +184,19 @@ TEST_P(ChipRateSweep, FrameRoundTripAtRate) {
   for (auto& b : f.payload) {
     b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   }
-  auto wf = mod.modulate_frame(f, false, 0, 8);
+  dsp::Waveform wf;
+  phy::OokModulator::TxScratch tx_scratch;
+  mod.modulate_frame_into(f, false, 0, 8, wf, tx_scratch);
   for (double& s : wf.samples) {
     s = s - params.bias_current_a + rng.gaussian(0.0, 0.05);
   }
-  const auto res = demod.receive_frame(wf.samples);
-  ASSERT_TRUE(res.has_value()) << "rate " << GetParam();
-  EXPECT_EQ(res->parsed.frame, f);
+  const std::span<const double> lanes[] = {wf.samples};
+  phy::OokDemodulator::RxResult res[1];
+  std::uint8_t ok[1] = {0};
+  phy::OokDemodulator::BatchRxScratch rx_scratch;
+  ASSERT_EQ(demod.receive_batch_into(lanes, res, ok, rx_scratch), 1u)
+      << "rate " << GetParam();
+  EXPECT_EQ(res[0].parsed.frame, f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, ChipRateSweep,

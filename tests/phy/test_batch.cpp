@@ -1,12 +1,12 @@
-// Differential suite for the batch-of-frames PHY path.
+// Suite for the batch-of-frames PHY path.
 //
-// Every batch entry point (frame_batch codec, OOK modulator/demodulator
-// batch calls, front-end quad processing, JointTransmission batch) is
-// held bit-for-bit against an equivalent sequence of the scalar per-frame
-// calls: same wire bytes, same waveforms, same accept/reject decisions,
-// same Rng stream. Like test_fastpath, the whole suite is parameterized
-// over the SIMD dispatch so both backends are pinned to the same scalar
-// sequence transitively.
+// The batch codec is held bit-for-bit against the per-frame FrameCodec,
+// the front-end quad processing against sequential process_into calls,
+// and JointTransmission::transmit_batch against one-job calls (same
+// outcomes, same Rng stream). The receiver has no per-frame twin: each
+// lane is checked against the frame that was sent, with one lane per
+// reject path. Like test_fastpath, the whole suite is parameterized over
+// the SIMD dispatch so both backends are pinned to the same results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,11 +75,13 @@ std::vector<const phy::MacFrame*> frame_ptrs(
 // --- Batch codec ---------------------------------------------------------
 
 TEST_P(Batch, SerializeFramesMatchesScalar) {
+  // Depth 0 is the paper's wire format: serialize_frame byte for byte.
   Rng rng{0xB0};
   const auto frames = make_frames(rng);
   const auto ptrs = frame_ptrs(frames);
+  const phy::FrameCodec codec{0};
   phy::FrameBatch batch;
-  phy::serialize_frames_batch(ptrs, batch);
+  phy::encode_frames_batch(codec, ptrs, batch);
   ASSERT_EQ(batch.lanes.size(), frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const auto expect = phy::serialize_frame(frames[i]);
@@ -92,7 +94,7 @@ TEST_P(Batch, SerializeFramesMatchesScalar) {
   phy::MacFrame overlong;
   overlong.payload.resize(phy::kMaxPayload + 1);
   const phy::MacFrame* bad[] = {&overlong};
-  EXPECT_THROW(phy::serialize_frames_batch(bad, batch),
+  EXPECT_THROW(phy::encode_frames_batch(codec, bad, batch),
                std::invalid_argument);
 }
 
@@ -170,62 +172,81 @@ TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
   }
 }
 
-// --- Batch modulator / demodulator ---------------------------------------
+// --- Receiver ------------------------------------------------------------
 
-TEST_P(Batch, ModulateBatchMatchesModulateFrame) {
-  Rng rng{0xB3};
-  const auto frames = make_frames(rng);
-  const phy::OokParams params{};
-  const phy::OokModulator mod{params};
+// Guard and preamble ahead of the SFD in the lanes below, in samples
+// (8 guard chips + 32 preamble chips at 10 samples per chip).
+constexpr std::size_t kSfdSample = (8 + phy::kPreambleChips) * 10;
 
-  std::vector<phy::OokModulator::TxJob> jobs;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    jobs.push_back({&frames[i], (i % 2) == 0,
-                    static_cast<std::uint8_t>(0xC0 + i), 4 * i});
-  }
-  std::vector<dsp::Waveform> got(jobs.size());
-  std::vector<dsp::Waveform*> out;
-  for (auto& wf : got) out.push_back(&wf);
-  phy::OokModulator::TxBatchScratch scratch;
-  mod.modulate_batch_into(jobs, out, scratch);
-
-  phy::OokModulator::TxScratch txs;
-  dsp::Waveform expect;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    mod.modulate_frame_into(*jobs[i].frame, jobs[i].include_pilot,
-                            jobs[i].tx_id, jobs[i].guard_chips, expect, txs);
-    ASSERT_EQ(got[i].samples.size(), expect.samples.size()) << "lane " << i;
-    EXPECT_EQ(got[i].sample_rate_hz, expect.sample_rate_hz);
-    EXPECT_EQ(got[i].samples, expect.samples) << "lane " << i;
+// Inverts the AC-coupled samples of wire bytes [first, first + count)
+// (byte 0 = SFD, 16 chips of 10 samples per byte): every Manchester pair
+// swaps, so every bit of those bytes flips.
+void invert_wire_bytes(std::vector<double>& lane, std::size_t first,
+                       std::size_t count) {
+  for (std::size_t s = kSfdSample + 160 * first;
+       s < kSfdSample + 160 * (first + count); ++s) {
+    lane[s] = -lane[s];
   }
 }
 
 TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
+  // Each lane is checked against the frame that was sent: clean lanes
+  // decode it exactly, and one lane per reject path fails without
+  // disturbing its neighbours.
   Rng rng{0xB4};
   const phy::OokParams params{};
   const phy::OokModulator mod{params};
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
 
-  // Lanes: clean frames of several sizes, one all-noise lane (no
-  // preamble), one lane with a corrupted stretch of samples.
-  std::vector<phy::MacFrame> frames = {make_frame(40, rng),
-                                       make_frame(0, rng),
-                                       make_frame(300, rng),
-                                       make_frame(40, rng),
-                                       make_frame(90, rng)};
+  enum class Lane { kClean, kCorrected, kNoise, kBadSfd, kBadLength, kBadRs };
+  struct Case {
+    Lane kind;
+    phy::MacFrame frame;
+  };
+  std::vector<Case> cases = {
+      {Lane::kClean, make_frame(40, rng)},
+      {Lane::kNoise, {}},
+      {Lane::kClean, make_frame(0, rng)},
+      {Lane::kBadSfd, make_frame(40, rng)},
+      {Lane::kClean, make_frame(300, rng)},
+      {Lane::kBadLength, make_frame(40, rng)},
+      {Lane::kCorrected, make_frame(90, rng)},
+      {Lane::kBadRs, make_frame(100, rng)},
+      {Lane::kClean, make_frame(40, rng)},
+  };
+
   std::vector<std::vector<double>> lanes;
   phy::OokModulator::TxScratch txs;
   dsp::Waveform wf;
-  for (const auto& f : frames) {
-    mod.modulate_frame_into(f, false, 0, 8, wf, txs);
+  for (const Case& c : cases) {
+    if (c.kind == Lane::kNoise) {
+      std::vector<double> noise(4000);
+      for (auto& v : noise) v = rng.uniform(-0.02, 0.02);
+      lanes.push_back(std::move(noise));
+      continue;
+    }
+    mod.modulate_frame_into(c.frame, false, 0, 8, wf, txs);
     for (double& v : wf.samples) v -= params.bias_current_a;
-    lanes.emplace_back(wf.samples.begin(), wf.samples.end());
+    std::vector<double> lane(wf.samples.begin(), wf.samples.end());
+    switch (c.kind) {
+      case Lane::kBadSfd:
+        invert_wire_bytes(lane, 0, 1);  // 0xA7 -> 0x58
+        break;
+      case Lane::kBadLength:
+        invert_wire_bytes(lane, 1, 1);  // length 0x0028 -> 0xFF28
+        break;
+      case Lane::kCorrected:
+        invert_wire_bytes(lane, 9 + 10, 3);  // 3 payload bytes: RS fixes
+        break;
+      case Lane::kBadRs:
+        invert_wire_bytes(lane, 9 + 10, 20);  // 20 > 8 correctable bytes
+        break;
+      default:
+        break;
+    }
+    lanes.push_back(std::move(lane));
   }
-  std::vector<double> noise(4000);
-  for (auto& v : noise) v = rng.uniform(-0.02, 0.02);
-  lanes.insert(lanes.begin() + 3, noise);
-  for (std::size_t s = 900; s < 2600; ++s) lanes[4][s] = -lanes[4][s];
 
   std::vector<std::span<const double>> signals;
   for (const auto& lane : lanes) signals.emplace_back(lane);
@@ -235,26 +256,24 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
   const std::size_t decoded =
       demod.receive_batch_into(signals, out, ok, scratch);
 
-  phy::OokDemodulator::RxScratch rxs;
-  phy::OokDemodulator::RxResult expect;
   std::size_t expected_decoded = 0;
-  bool saw_fail = false;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const bool scalar_ok = demod.receive_frame_into(signals[i], expect, rxs);
-    ASSERT_EQ(ok[i] != 0, scalar_ok) << "lane " << i;
-    saw_fail = saw_fail || !scalar_ok;
-    if (scalar_ok) {
-      ++expected_decoded;
-      EXPECT_EQ(out[i].parsed.frame, expect.parsed.frame) << "lane " << i;
-      EXPECT_EQ(out[i].parsed.corrected_bytes, expect.parsed.corrected_bytes);
-      EXPECT_EQ(out[i].preamble_at, expect.preamble_at) << "lane " << i;
-      EXPECT_EQ(out[i].correlation, expect.correlation) << "lane " << i;
-      EXPECT_EQ(out[i].manchester_violations, expect.manchester_violations);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Lane kind = cases[i].kind;
+    if (kind != Lane::kClean && kind != Lane::kCorrected) {
+      EXPECT_EQ(ok[i], 0) << "lane " << i;
+      continue;
     }
+    ++expected_decoded;
+    ASSERT_EQ(ok[i], 1) << "lane " << i;
+    const phy::OokDemodulator::RxResult& r = out[i];
+    EXPECT_EQ(r.parsed.frame, cases[i].frame) << "lane " << i;
+    EXPECT_EQ(r.preamble_at, 8u * 10u) << "lane " << i;
+    EXPECT_GT(r.correlation, 0.95) << "lane " << i;
+    EXPECT_EQ(r.manchester_violations, 0u) << "lane " << i;
+    EXPECT_EQ(r.parsed.corrected_bytes, kind == Lane::kCorrected ? 3u : 0u)
+        << "lane " << i;
   }
   EXPECT_EQ(decoded, expected_decoded);
-  EXPECT_GE(decoded, 4u);  // the clean lanes must all decode
-  EXPECT_TRUE(saw_fail);   // and the noise lane must not
 }
 
 // --- Batch front-end -----------------------------------------------------
@@ -387,26 +406,22 @@ TEST_P(Batch, BatchPipelineSteadyStateIsAllocationFree) {
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
 
-  std::vector<phy::OokModulator::TxJob> jobs;
-  for (const auto& f : frames) jobs.push_back({&f, false, 0, 8});
-  std::vector<dsp::Waveform> wfs(jobs.size());
-  std::vector<dsp::Waveform*> out;
-  for (auto& wf : wfs) out.push_back(&wf);
-  phy::OokModulator::TxBatchScratch txb;
+  std::vector<dsp::Waveform> wfs(frames.size());
+  phy::OokModulator::TxScratch txs;
   phy::OokDemodulator::BatchRxScratch rxb;
-  std::vector<std::span<const double>> signals(jobs.size());
-  std::vector<phy::OokDemodulator::RxResult> results(jobs.size());
-  std::vector<std::uint8_t> ok(jobs.size());
+  std::vector<std::span<const double>> signals(frames.size());
+  std::vector<phy::OokDemodulator::RxResult> results(frames.size());
+  std::vector<std::uint8_t> ok(frames.size());
 
   const auto run_one = [&] {
-    mod.modulate_batch_into(jobs, out, txb);
     for (std::size_t i = 0; i < wfs.size(); ++i) {
+      mod.modulate_frame_into(frames[i], false, 0, 8, wfs[i], txs);
       for (double& v : wfs[i].samples) v -= params.bias_current_a;
       signals[i] = wfs[i].samples;
     }
     ASSERT_EQ(demod.receive_batch_into(signals, results, ok, rxb),
-              jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+              frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
       ASSERT_EQ(results[i].parsed.frame.payload, frames[i].payload);
     }
   };

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -247,32 +248,6 @@ TEST_P(FastPath, CodecChipPipelineMatchesScalarReference) {
 
 // --- OOK / front end -----------------------------------------------------
 
-TEST_P(FastPath, ReceiveFrameIntoMatchesValueApi) {
-  Rng rng{0xE1};
-  const phy::OokParams params{};
-  const phy::OokModulator mod{params};
-  const phy::OokDemodulator demod{params.chip_rate_hz,
-                                  params.sample_rate_hz()};
-  phy::OokDemodulator::RxScratch rxs;
-  phy::OokDemodulator::RxResult rx;
-  for (int trial = 0; trial < 5; ++trial) {
-    const auto f = random_frame(120, rng);
-    const auto wf = mod.modulate_frame(f, false, 0, 8);
-    std::vector<double> signal = wf.samples;
-    for (double& v : signal) v -= params.bias_current_a;  // ideal AC coupling
-    const auto value_rx = demod.receive_frame(signal);
-    const bool ok = demod.receive_frame_into(signal, rx, rxs);
-    ASSERT_TRUE(value_rx.has_value());
-    ASSERT_TRUE(ok);
-    EXPECT_EQ(rx.parsed.frame, value_rx->parsed.frame);
-    EXPECT_EQ(rx.parsed.corrected_bytes, value_rx->parsed.corrected_bytes);
-    EXPECT_EQ(rx.preamble_at, value_rx->preamble_at);
-    EXPECT_EQ(rx.correlation, value_rx->correlation);
-    EXPECT_EQ(rx.manchester_violations, value_rx->manchester_violations);
-    EXPECT_EQ(rx.parsed.frame.payload, f.payload);
-  }
-}
-
 TEST_P(FastPath, FrontEndProcessIntoMatchesValueApi) {
   phy::FrontEndConfig cfg{};  // default noisy configuration
   phy::ReceiverFrontEnd fe_a{cfg, Rng{99}};
@@ -385,14 +360,16 @@ TEST_P(FastPath, ReceiveChainSteadyStateIsAllocationFree) {
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
   phy::OokModulator::TxScratch txs;
-  phy::OokDemodulator::RxScratch rxs;
-  phy::OokDemodulator::RxResult rx;
+  phy::OokDemodulator::BatchRxScratch rxs;
+  phy::OokDemodulator::RxResult rx[1];
+  std::uint8_t ok[1] = {0};
   dsp::Waveform wf;
   const auto run_one = [&] {
     mod.modulate_frame_into(f, false, 0, 8, wf, txs);
     for (double& v : wf.samples) v -= params.bias_current_a;
-    ASSERT_TRUE(demod.receive_frame_into(wf.samples, rx, rxs));
-    ASSERT_EQ(rx.parsed.frame.payload, f.payload);
+    const std::span<const double> lanes[] = {wf.samples};
+    ASSERT_EQ(demod.receive_batch_into(lanes, rx, ok, rxs), 1u);
+    ASSERT_EQ(rx[0].parsed.frame.payload, f.payload);
   };
   run_one();  // warm-up
   const std::uint64_t before = bench::alloc_count();

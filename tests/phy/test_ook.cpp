@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +19,29 @@ OokParams params() {
   p.bias_current_a = 0.45;
   p.swing_current_a = 0.9;
   return p;
+}
+
+dsp::Waveform frame_waveform(const OokModulator& mod, const MacFrame& f,
+                             bool include_pilot, std::uint8_t tx_id,
+                             std::size_t guard_chips) {
+  dsp::Waveform wf;
+  OokModulator::TxScratch scratch;
+  mod.modulate_frame_into(f, include_pilot, tx_id, guard_chips, wf, scratch);
+  return wf;
+}
+
+/// One frame through the receiver: a batch of one lane.
+std::optional<OokDemodulator::RxResult> receive(
+    const OokDemodulator& demod, std::span<const double> signal) {
+  const std::span<const double> lanes[] = {signal};
+  OokDemodulator::RxResult out[1];
+  std::uint8_t ok[1] = {0};
+  OokDemodulator::BatchRxScratch scratch;
+  if (demod.receive_batch_into(lanes, out, ok, scratch) != 1) {
+    return std::nullopt;
+  }
+  EXPECT_EQ(ok[0], 1);
+  return out[0];
 }
 
 TEST(OokModulator, ThreeCurrentLevels) {
@@ -53,7 +78,7 @@ TEST(OokModulator, FrameWaveformHasGuards) {
   const OokModulator mod{params()};
   MacFrame f;
   f.payload = {1, 2, 3};
-  const auto wf = mod.modulate_frame(f, false, 0, 4);
+  const auto wf = frame_waveform(mod, f, false, 0, 4);
   // First 4 chips at bias.
   for (std::size_t i = 0; i < 4 * 10; ++i) {
     EXPECT_DOUBLE_EQ(wf.samples[i], 0.45);
@@ -64,8 +89,8 @@ TEST(OokModulator, PilotExtendsFrame) {
   const OokModulator mod{params()};
   MacFrame f;
   f.payload = {9};
-  const auto plain = mod.modulate_frame(f, false, 2, 0);
-  const auto with_pilot = mod.modulate_frame(f, true, 2, 0);
+  const auto plain = frame_waveform(mod, f, false, 2, 0);
+  const auto with_pilot = frame_waveform(mod, f, true, 2, 0);
   // Pilot adds 32 chips plus 16 Manchester chips of leader ID.
   EXPECT_EQ(with_pilot.samples.size() - plain.samples.size(),
             (kPilotChips + 16) * 10);
@@ -86,7 +111,9 @@ TEST(OokDemodulator, SlicesCleanChips) {
 
 TEST(OokDemodulator, TemplateMatchesPreambleLength) {
   const OokDemodulator demod{100e3, 1e6};
-  EXPECT_EQ(demod.preamble_template().size(), kPreambleChips * 10);
+  std::vector<double> tpl;
+  demod.preamble_template_into(tpl);
+  EXPECT_EQ(tpl.size(), kPreambleChips * 10);
   EXPECT_DOUBLE_EQ(demod.samples_per_chip(), 10.0);
 }
 
@@ -102,9 +129,9 @@ TEST(OokDemodulator, ReceivesCleanFrameEndToEnd) {
   for (auto& b : f.payload) {
     b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   }
-  auto wf = mod.modulate_frame(f, false, 0, 8);
+  auto wf = frame_waveform(mod, f, false, 0, 8);
   for (double& s : wf.samples) s -= 0.45;  // ideal AC coupling
-  const auto res = demod.receive_frame(wf.samples);
+  const auto res = receive(demod, wf.samples);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->parsed.frame, f);
   EXPECT_EQ(res->manchester_violations, 0u);
@@ -117,11 +144,11 @@ TEST(OokDemodulator, SurvivesModerateNoise) {
   Rng rng{12};
   MacFrame f;
   f.payload = {0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4, 5, 6};
-  auto wf = mod.modulate_frame(f, false, 0, 8);
+  auto wf = frame_waveform(mod, f, false, 0, 8);
   for (double& s : wf.samples) {
     s = s - 0.45 + rng.gaussian(0.0, 0.10);  // SNR ~ 13 dB on +-0.45
   }
-  const auto res = demod.receive_frame(wf.samples);
+  const auto res = receive(demod, wf.samples);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->parsed.frame, f);
 }
@@ -131,7 +158,7 @@ TEST(OokDemodulator, NoSignalNoFrame) {
   Rng rng{13};
   std::vector<double> noise(20000);
   for (double& s : noise) s = rng.gaussian(0.0, 0.2);
-  EXPECT_FALSE(demod.receive_frame(noise).has_value());
+  EXPECT_FALSE(receive(demod, noise).has_value());
 }
 
 TEST(OokDemodulator, FractionalSamplesPerChip) {
@@ -143,7 +170,7 @@ TEST(OokDemodulator, FractionalSamplesPerChip) {
   const OokDemodulator demod{80e3, 1e6};
   MacFrame f;
   f.payload = {42, 43, 44};
-  auto wf = mod.modulate_frame(f, false, 0, 8);
+  auto wf = frame_waveform(mod, f, false, 0, 8);
   // Resample the 800 kHz TX waveform to 1 MHz by zero-order hold.
   std::vector<double> rx;
   const double ratio = wf.sample_rate_hz / 1e6;
@@ -152,7 +179,7 @@ TEST(OokDemodulator, FractionalSamplesPerChip) {
     if (src >= wf.samples.size()) break;
     rx.push_back(wf.samples[src] - 0.45);
   }
-  const auto res = demod.receive_frame(rx);
+  const auto res = receive(demod, rx);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->parsed.frame, f);
 }

@@ -91,9 +91,6 @@ std::string serialize_entry(const CacheEntry& entry) {
     out << "into " << d.line << ' ' << d.param_count << ' '
         << (d.is_definition ? 1 : 0) << ' ' << d.name << '\n';
   }
-  for (const std::string& name : s.called_names) {
-    out << "called " << name << '\n';
-  }
   for (const auto& [name, count] : s.ident_uses) {
     out << "use " << count << ' ' << name << '\n';
   }
@@ -144,8 +141,6 @@ bool parse_entry(const std::string& text, CacheEntry& out) {
       if (d.name.empty()) return false;
       d.is_definition = def != 0;
       (key == "sym" ? s.symbols : s.into_decls).push_back(std::move(d));
-    } else if (key == "called") {
-      s.called_names.insert(rest);
     } else if (key == "use") {
       std::size_t count = 0;
       std::string name;

@@ -67,11 +67,9 @@ FileSummary summarize(const SourceFile& f, const ScopeTree& scope) {
 
     const std::size_t open = next_code(toks, i);
     if (!token_is(toks, open, "(")) continue;
-    s.called_names.insert(t.text);
 
     // `*_into` declaration sites (headers only): any site that is not a
-    // member call or an argument. This deliberately includes class
-    // methods — the api-into-wrapper contract covers them too.
+    // member call or an argument, class methods included.
     if (f.is_header && ends_with(t.text, "_into")) {
       const std::size_t p = prev_code(toks, i);
       const bool member_or_arg =
@@ -155,12 +153,6 @@ std::size_t ProjectIndex::external_uses(const std::string& name,
     if (it != f.ident_uses.end()) total += it->second;
   }
   return total;
-}
-
-bool ProjectIndex::is_called(const std::string& name) const {
-  return std::any_of(files.begin(), files.end(), [&](const FileSummary& f) {
-    return f.called_names.count(name) != 0;
-  });
 }
 
 std::string ProjectIndex::include_spelling(const std::string& rel) {

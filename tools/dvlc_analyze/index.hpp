@@ -1,6 +1,6 @@
 // Cross-translation-unit project index for dvlc_analyze.
 //
-// Project-level passes (layering, api-into-wrapper, dead-api) must not
+// Project-level passes (layering, dead-api) must not
 // need the token stream of every file on every run — that would defeat
 // incremental analysis. Instead each file is boiled down once into a
 // FileSummary: its include edges, waiver map, declared header symbols,
@@ -39,12 +39,8 @@ struct FileSummary {
   WaiverMap waivers;
   /// Free-function declarations in this header (empty for .cpp files).
   std::vector<SymbolDecl> symbols;
-  /// Header declaration sites of `*_into` functions (api-into-wrapper).
+  /// Header declaration sites of `*_into` functions (api-pair-drift).
   std::vector<SymbolDecl> into_decls;
-  /// Every identifier that appears immediately before a "(": call sites
-  /// plus declaration sites — the "somewhere in the project" set the
-  /// api-into-wrapper rule queries.
-  std::set<std::string> called_names;
   /// Occurrence count of every identifier token in the file.
   std::map<std::string, std::size_t> ident_uses;
 };
@@ -64,10 +60,6 @@ struct ProjectIndex {
   /// it (same directory + same stem are "its own TU").
   std::size_t external_uses(const std::string& name,
                             const std::string& decl_rel) const;
-
-  /// True when any indexed file calls (or declares) `name` — i.e. the
-  /// identifier appears immediately before a "(" somewhere.
-  bool is_called(const std::string& name) const;
 
   /// Resolved file-level include edges, keyed by include spelling
   /// ("channel/model.hpp" for src/channel/model.hpp). Built by

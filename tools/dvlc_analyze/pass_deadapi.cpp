@@ -118,7 +118,7 @@ class DeadApiPass final : public Pass {
         const std::string wrapper =
             d.name.substr(0, d.name.size() - kSuffix.size());
         const auto it = wrapper_counts.find(wrapper);
-        if (it == wrapper_counts.end()) continue;  // api-into-wrapper's job
+        if (it == wrapper_counts.end()) continue;  // no wrapper to drift from
         // The `_into` form carries the output buffer (and possibly a
         // scratch) as extra parameters: a healthy wrapper takes one or
         // two fewer. Drift = no wrapper overload within that window.
