@@ -144,8 +144,9 @@ std::vector<double> throughput_bps(const ChannelMatrix& h,
                                    const LinkBudget& budget);
 
 /// Proportional-fairness objective of Eq. (5): sum_i ln(throughput_i).
-/// RXs with zero throughput contribute a large negative penalty instead of
-/// -inf so gradient methods keep a usable search direction.
+/// Each rate is clamped at 1 bit/s before its log (an RX below that adds
+/// throughput - 1 instead), so the sum is never -inf and gradient methods
+/// keep a usable search direction.
 double sum_log_utility(const ChannelMatrix& h, const Allocation& alloc,
                        const LinkBudget& budget);
 

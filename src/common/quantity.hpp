@@ -27,7 +27,7 @@
 // A^2 * ohm = W, lx * m^2 = lm, bit/s / Hz = bit); a fully cancelled
 // dimension collapses to plain double, so ratios read naturally. The
 // wrapper holds a single double with every operation constexpr-inline:
-// zero overhead at -O2 (bench/micro_runtime --quick guards this).
+// the static_asserts below pin its size and layout to a plain double.
 //
 // The only escape hatch is .value(); bulk storage (std::vector<double>
 // matrices) stays raw by design and re-enters the typed world at the
@@ -229,6 +229,22 @@ static_assert(std::is_same_v<decltype(AmpsSquaredPerHertz{} * Hertz{}),
               "N0 * bandwidth must be A^2");
 static_assert(std::is_same_v<decltype(Watts{} / Watts{}), double>,
               "fully cancelled dimensions collapse to double");
+
+// Zero overhead: a quantity is stored, copied and laid out exactly like the
+// double it wraps, so it passes in registers and packs densely in arrays.
+static_assert(sizeof(Watts) == sizeof(double) &&
+                  alignof(Watts) == alignof(double),
+              "a quantity is one double, no padding or extra state");
+static_assert(std::is_trivially_copyable_v<Watts> &&
+                  std::is_trivially_copyable_v<Meters> &&
+                  std::is_trivially_copyable_v<Amperes> &&
+                  std::is_trivially_copyable_v<BitsPerSecond>,
+              "quantities copy like a double");
+static_assert(std::is_standard_layout_v<Watts> &&
+                  std::is_standard_layout_v<Meters> &&
+                  std::is_standard_layout_v<Amperes> &&
+                  std::is_standard_layout_v<BitsPerSecond>,
+              "quantities lay out like a double");
 
 // ---------------------------------------------------------------------------
 // User-defined literals: 36.0_mA, 2.0_W, 1.0_MHz, 500.0_lx, ...

@@ -1,8 +1,9 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
 
 namespace densevlc {
 namespace {
@@ -115,12 +116,31 @@ std::size_t hardware_threads() {
 
 namespace {
 
+/// Threads beyond kMaxChunks could never claim a chunk.
+std::size_t capped(std::size_t num_threads) {
+  return std::min(num_threads, detail::kMaxChunks);
+}
+
+/// DENSEVLC_THREADS when it is a whole positive decimal (capped), else the
+/// capped hardware default; a rejected value gets one line on stderr.
 std::size_t default_threads() {
-  if (const char* env = std::getenv("DENSEVLC_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+  const std::size_t fallback = capped(hardware_threads());
+  const char* env = std::getenv("DENSEVLC_THREADS");
+  if (env == nullptr) return fallback;
+  std::size_t parsed = 0;  // saturates at kMaxChunks: no overflow
+  for (const char* c = env; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') {
+      parsed = 0;
+      break;
+    }
+    parsed = capped(parsed * 10 + static_cast<std::size_t>(*c - '0'));
   }
-  return hardware_threads();
+  if (parsed > 0) return parsed;
+  std::fprintf(stderr,
+               "densevlc: ignoring DENSEVLC_THREADS=\"%s\" (not a positive "
+               "whole number); using %zu threads\n",
+               env, fallback);
+  return fallback;
 }
 
 std::mutex g_pool_mu;
@@ -137,7 +157,7 @@ ThreadPool& global_pool() {
 void set_global_threads(std::size_t num_threads) {
   std::lock_guard<std::mutex> lock{g_pool_mu};
   g_pool = std::make_unique<ThreadPool>(
-      num_threads == 0 ? default_threads() : num_threads);
+      num_threads == 0 ? default_threads() : capped(num_threads));
 }
 
 std::size_t global_threads() { return global_pool().num_threads(); }

@@ -1,21 +1,20 @@
-// Fixed-size thread pool with deterministic data-parallel helpers.
+// Fixed-size thread pool with a deterministic parallel_for.
 //
-// Every hot loop in the simulator (gain matrices, illuminance rasters,
-// prober sweeps, allocator candidate evaluation) is embarrassingly
-// parallel, but the repo's reproducibility contract demands more than
+// The pool runs only coarse work: Monte-Carlo campaign instances and the
+// channel prober's quads of links (plus the shards of bench/micro_phy).
+// Loops over the paper's 36 TX x 4 RX matrix are too small to share and
+// run serially. The repo's reproducibility contract demands more than
 // "eventually the same answer": results must be *bit-identical* at any
 // thread count, so a bench run on a laptop and a CI run on a 64-core box
 // pin the same golden numbers.
 //
 // The design choices that make this hold:
 //
-//   - parallel_for / parallel_reduce split an index range into chunks
-//     whose boundaries depend ONLY on the range length (never on the
-//     thread count), so the grouping of floating-point operations is a
-//     pure function of the problem;
-//   - chunks may execute on any worker in any order, but every chunk
-//     writes to its own slot and parallel_reduce combines the per-chunk
-//     partials serially in ascending chunk order (ordered combine);
+//   - parallel_for splits an index range into chunks whose boundaries
+//     depend ONLY on the range length (never on the thread count);
+//   - chunks may execute on any worker in any order, but every body
+//     writes only to its own index slot; a caller that needs a fold
+//     writes per-index slots, then folds them serially;
 //   - there is no work stealing and no dynamic re-chunking — scheduling
 //     freedom is confined to *which thread* runs a chunk, which cannot
 //     affect the arithmetic.
@@ -27,11 +26,11 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace densevlc {
@@ -82,13 +81,15 @@ class ThreadPool {
 /// max(1, std::thread::hardware_concurrency()).
 std::size_t hardware_threads();
 
-/// The process-wide pool used by parallel_for / parallel_reduce. Sized on
-/// first use from the DENSEVLC_THREADS environment variable, defaulting
-/// to hardware_threads().
+/// The process-wide pool used by parallel_for. Sized on first use from the
+/// DENSEVLC_THREADS environment variable (a whole positive decimal; any
+/// other value prints one line to stderr and is ignored), defaulting to
+/// hardware_threads(). Either is capped at detail::kMaxChunks.
 ThreadPool& global_pool();
 
-/// Replaces the global pool with one of `num_threads` threads (0 = reset
-/// to the first-use default). Not safe to call while a batch is running.
+/// Replaces the global pool with one of min(`num_threads`,
+/// detail::kMaxChunks) threads (0 = reset to the first-use default). Not
+/// safe to call while a batch is running.
 void set_global_threads(std::size_t num_threads);
 
 /// Thread count of the current global pool.
@@ -96,8 +97,9 @@ std::size_t global_threads();
 
 namespace detail {
 
-/// Upper bound on chunks per batch. Small enough that per-chunk overhead
-/// stays negligible, large enough to load-balance 64 threads.
+/// Upper bound on chunks per batch, and so on useful threads: a thread
+/// beyond it could never claim a chunk. Small enough that per-chunk
+/// overhead stays negligible, large enough to load-balance 64 threads.
 inline constexpr std::size_t kMaxChunks = 64;
 
 /// Number of chunks used for a range of n items — a function of n only.
@@ -134,31 +136,6 @@ void parallel_for(std::size_t begin, std::size_t end, Body&& body) {
     for (std::size_t i = lo; i < hi; ++i) body(begin + i);
   };
   global_pool().run_chunks(chunks, chunk_fn);
-}
-
-/// Deterministic chunked reduction: acc_c = fold of map(i) over chunk c
-/// (in index order, seeded with `identity`), then the partials are
-/// combined serially in ascending chunk order. Because chunk boundaries
-/// depend only on the range length, the result is bit-identical at any
-/// thread count — including 1 — though it may differ from an unchunked
-/// serial fold (the chunked grouping IS the canonical result).
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, T identity, Map&& map,
-                  Combine&& combine) {
-  if (end <= begin) return identity;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = detail::chunk_count(n);
-  std::vector<T> partial(chunks, identity);
-  const std::function<void(std::size_t)> chunk_fn = [&](std::size_t c) {
-    const auto [lo, hi] = detail::chunk_bounds(n, chunks, c);
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(begin + i));
-    partial[c] = acc;
-  };
-  global_pool().run_chunks(chunks, chunk_fn);
-  T total = identity;
-  for (const T& p : partial) total = combine(total, p);
-  return total;
 }
 
 }  // namespace densevlc

@@ -1,6 +1,6 @@
 // Fixture: the sanctioned parallel idioms — disjoint i-indexed writes,
-// body-local accumulation, derived per-index Rng streams, and the
-// ordered combine of parallel_reduce. Must produce zero findings.
+// body-local accumulation and derived per-index Rng streams. Must produce
+// zero findings.
 #include <cstddef>
 #include <vector>
 
@@ -33,12 +33,6 @@ void derived_streams(std::vector<double>& samples, const Rng& rng,
     Rng link_rng = sweep.split(i);
     samples[i] = link_rng.uniform();
   });
-}
-
-double ordered_reduce(const std::vector<double>& xs) {
-  return parallel_reduce(
-      0, xs.size(), 0.0, [&](std::size_t i) { return xs[i]; },
-      [](double a, double b) { return a + b; });
 }
 
 }  // namespace densevlc

@@ -35,17 +35,11 @@ int first_id(const std::map<int, const Node*>& by_id) {
   return by_id.empty() ? 0 : by_id.begin()->second->id;
 }
 
-// Per-index slots and the ordered combine are the sanctioned patterns.
+// Per-index slots are the sanctioned pattern.
 void scale(const std::vector<double>& x, std::vector<double>& out) {
   parallel_for(0, x.size(), [&](std::size_t i) {
     out[i] += 2.0 * x[i];
   });
-}
-
-double total(const std::vector<double>& x) {
-  return parallel_reduce(
-      0, x.size(), 0.0, [&](std::size_t i) { return x[i]; },
-      [](double a, double b) { return a + b; });
 }
 
 }  // namespace densevlc

@@ -356,23 +356,6 @@ TEST(ScopeTree, NamespaceClassFunctionNesting) {
   EXPECT_TRUE(saw_fn);
 }
 
-TEST(ScopeTree, ParallelReduceSecondLambdaIsCombineBody) {
-  const auto toks = tokenize(
-      "double g(std::size_t n) {\n"
-      "  return parallel_reduce(0, n, 0.0,\n"
-      "      [&](std::size_t i) { return 1.0; },\n"
-      "      [](double a, double b) { return a + b; });\n"
-      "}\n");
-  const ScopeTree tree = build_scope_tree(toks);
-  std::size_t parallel = 0, combine = 0;
-  for (const ScopeNode& n : tree.nodes) {
-    if (n.kind == ScopeKind::kParallelBody) ++parallel;
-    if (n.kind == ScopeKind::kCombineBody) ++combine;
-  }
-  EXPECT_EQ(parallel, 1u);
-  EXPECT_EQ(combine, 1u);
-}
-
 TEST(ScopeTree, UnitSuffixParsing) {
   EXPECT_EQ(unit_suffix_of("span_m"), "_m");
   EXPECT_EQ(unit_suffix_of("power_used_w_"), "_w");  // member underscore

@@ -1,17 +1,19 @@
-// Tests for the fixed-size thread pool and its deterministic helpers.
+// Tests for the fixed-size thread pool and its deterministic parallel_for.
 //
-// The contract under test: parallel_for / parallel_reduce results are a
-// pure function of the input range — never of the thread count — because
-// chunk boundaries depend only on the range length and partials combine
-// in chunk order. The suite checks the pool mechanics, then the contract
-// on the real workloads that use it (gain matrices, illuminance rasters,
-// prober sweeps).
+// The contract under test: parallel_for results are a pure function of
+// the input range — never of the thread count — because chunk boundaries
+// depend only on the range length and bodies write disjoint slots. The
+// suite checks the pool mechanics and its sizing, then the contract on
+// the prober sweep that runs on it. Gain matrices and illuminance rasters
+// are serial loops; their cross-thread-count checks guard against
+// parallelism being added back.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -137,41 +139,38 @@ TEST_F(ThreadPoolTest, RepeatedNestedParallelForPerChunkDoesNotDeadlock) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(sums[i], 8);
 }
 
-TEST_F(ThreadPoolTest, ReduceIsBitIdenticalAcrossThreadCounts) {
-  // A floating-point sum whose result depends on association order:
-  // magnitudes spread over 12 decades, so any re-grouping would move the
-  // low bits around.
-  Rng rng{0xC0FFEE};
-  std::vector<double> values(5000);
-  for (double& v : values) v = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-6.0, 6.0));
+TEST_F(ThreadPoolTest, ThreadCountIsValidatedAndCappedAtMaxChunks) {
+  // Threads beyond kMaxChunks could never claim a chunk.
+  set_global_threads(1000);
+  ASSERT_EQ(global_threads(), detail::kMaxChunks);
 
-  std::vector<double> sums;
-  for (std::size_t threads : sweep_thread_counts()) {
-    set_global_threads(threads);
-    sums.push_back(parallel_reduce(
-        0, values.size(), 0.0, [&](std::size_t i) { return values[i]; },
-        [](double a, double b) { return a + b; }));
-  }
-  for (std::size_t i = 1; i < sums.size(); ++i) {
-    EXPECT_EQ(sums[0], sums[i]) << "thread count index " << i;
-  }
-}
+  const char* saved = std::getenv("DENSEVLC_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const std::size_t fallback =
+      std::min(hardware_threads(), detail::kMaxChunks);
 
-TEST_F(ThreadPoolTest, ReduceCombinesPartialsInChunkOrder) {
-  // A non-commutative combine (string concatenation) exposes any
-  // out-of-order merging immediately.
-  std::string expected;
-  for (int i = 0; i < 300; ++i) expected += std::to_string(i) + ",";
-  for (std::size_t threads : sweep_thread_counts()) {
-    set_global_threads(threads);
-    const std::string joined = parallel_reduce(
-        0, 300, std::string{},
-        [](std::size_t i) { return std::to_string(i) + ","; },
-        [](std::string a, const std::string& b) {
-          a += b;
-          return a;
-        });
-    EXPECT_EQ(joined, expected) << threads << " threads";
+  // Not a whole positive decimal: one line on stderr, hardware default.
+  for (const char* bad : {"4x", "", "0", "-3", " 4", "+4", "2.5"}) {
+    ASSERT_EQ(setenv("DENSEVLC_THREADS", bad, 1), 0);
+    ::testing::internal::CaptureStderr();
+    set_global_threads(0);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(global_threads(), fallback) << '"' << bad << '"';
+    EXPECT_NE(err.find("DENSEVLC_THREADS"), std::string::npos) << bad;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << bad;
+  }
+
+  ASSERT_EQ(setenv("DENSEVLC_THREADS", "3", 1), 0);
+  set_global_threads(0);
+  EXPECT_EQ(global_threads(), 3u);
+  ASSERT_EQ(setenv("DENSEVLC_THREADS", "100000", 1), 0);
+  set_global_threads(0);
+  EXPECT_EQ(global_threads(), detail::kMaxChunks);
+
+  if (saved != nullptr) {
+    setenv("DENSEVLC_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("DENSEVLC_THREADS");
   }
 }
 

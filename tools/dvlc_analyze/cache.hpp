@@ -28,7 +28,7 @@ namespace densevlc::analyze {
 
 /// Bump when ANY pass's behavior changes: the version participates in
 /// every cache key, so old entries become unreachable (not wrong).
-inline constexpr const char* kAnalyzerPassVersion = "dvlc-analyze-v4";
+inline constexpr const char* kAnalyzerPassVersion = "dvlc-analyze-v5";
 
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a(const std::string& data);

@@ -94,8 +94,7 @@ FileSummary summarize(const SourceFile& f, const ScopeTree& scope) {
     if (scope.inside(i, ScopeKind::kClass) ||
         scope.inside(i, ScopeKind::kFunction) ||
         scope.inside(i, ScopeKind::kLambda) ||
-        scope.inside(i, ScopeKind::kParallelBody) ||
-        scope.inside(i, ScopeKind::kCombineBody)) {
+        scope.inside(i, ScopeKind::kParallelBody)) {
       continue;
     }
     if (!is_decl_head(toks, i)) continue;

@@ -1,7 +1,7 @@
 #include "parse.hpp"
 
 #include <algorithm>
-#include <map>
+#include <set>
 
 namespace densevlc::analyze {
 
@@ -249,19 +249,16 @@ BraceInfo classify_brace(const std::vector<Token>& toks, std::size_t open) {
   return info;
 }
 
-/// Token indices of lambda body "{"s that are arguments of parallel_for /
-/// parallel_reduce call sites, mapped to their scope kind. The second and
-/// later lambdas of a parallel_reduce are combine bodies.
-std::map<std::size_t, ScopeKind> find_parallel_bodies(
-    const std::vector<Token>& toks) {
-  std::map<std::size_t, ScopeKind> kinds;
+/// Token indices of lambda body "{"s that are arguments of parallel_for
+/// call sites.
+std::set<std::size_t> find_parallel_bodies(const std::vector<Token>& toks) {
+  std::set<std::size_t> bodies;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokenKind::kIdentifier ||
-        (toks[i].text != "parallel_for" && toks[i].text != "parallel_reduce")) {
+        toks[i].text != "parallel_for") {
       continue;
     }
-    const bool is_reduce = toks[i].text == "parallel_reduce";
-    // Call sites only — skip the thread_pool.hpp definitions (preceded by
+    // Call sites only — skip the thread_pool.hpp definition (preceded by
     // a return type) exactly like the determinism pass does.
     const std::size_t p = prev_code(toks, i);
     if (p != std::string::npos &&
@@ -274,7 +271,6 @@ std::map<std::size_t, ScopeKind> find_parallel_bodies(
     if (!token_is(toks, open, "(")) continue;
     const std::size_t close = match_paren(toks, open);
     if (close == std::string::npos) continue;
-    std::size_t lambda_ordinal = 0;
     for (std::size_t j = open + 1; j < close; ++j) {
       if (toks[j].kind != TokenKind::kPunct || toks[j].text != "[") continue;
       const std::size_t before = prev_code(toks, j);
@@ -299,15 +295,13 @@ std::map<std::size_t, ScopeKind> find_parallel_bodies(
         k = next_code(toks, k);
       }
       if (k == std::string::npos || k >= close) break;
-      ++lambda_ordinal;
-      kinds[k] = (is_reduce && lambda_ordinal >= 2) ? ScopeKind::kCombineBody
-                                                    : ScopeKind::kParallelBody;
+      bodies.insert(k);
       const std::size_t body_close = match_brace(toks, k);
       if (body_close == std::string::npos) break;
       j = body_close;
     }
   }
-  return kinds;
+  return bodies;
 }
 
 /// Collects the variables declared directly in `node` (child scope
@@ -317,7 +311,6 @@ void collect_scope_vars(const std::vector<Token>& toks, const ScopeTree& tree,
   const bool function_like = node.kind == ScopeKind::kFunction ||
                              node.kind == ScopeKind::kLambda ||
                              node.kind == ScopeKind::kParallelBody ||
-                             node.kind == ScopeKind::kCombineBody ||
                              node.kind == ScopeKind::kBlock;
   // Child ranges to skip, in order.
   std::vector<std::pair<std::size_t, std::size_t>> holes;
@@ -536,7 +529,7 @@ ScopeTree build_scope_tree(const std::vector<Token>& toks) {
   root.parent = 0;
   tree.nodes.push_back(std::move(root));
 
-  const std::map<std::size_t, ScopeKind> parallel = find_parallel_bodies(toks);
+  const std::set<std::size_t> parallel = find_parallel_bodies(toks);
 
   std::vector<std::size_t> stack{0};
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -544,10 +537,9 @@ ScopeTree build_scope_tree(const std::vector<Token>& toks) {
     if (t.kind != TokenKind::kPunct) continue;
     if (t.text == "{") {
       ScopeNode node;
-      const auto par = parallel.find(i);
       BraceInfo info;
-      if (par != parallel.end()) {
-        info.kind = par->second;
+      if (parallel.count(i) != 0) {
+        info.kind = ScopeKind::kParallelBody;
         // Parameter list of the lambda: scan back over specifiers.
         std::size_t p = prev_code(toks, i);
         while (p != std::string::npos &&

@@ -10,8 +10,7 @@
 //   - namespace / class / struct / enum scopes (with names),
 //   - function definitions (name + parameter list),
 //   - lambda bodies, specially tagged when they are arguments of a
-//     parallel_for / parallel_reduce call (the reduce's second lambda is
-//     the *combine* body — the ordered-fold contract applies there),
+//     parallel_for call,
 //   - plain control/compound blocks,
 //
 // and records every variable declared in each scope together with the
@@ -34,8 +33,7 @@ enum class ScopeKind {
   kClass,  // class / struct / union / enum
   kFunction,
   kLambda,
-  kParallelBody,  // lambda argument of parallel_for / parallel_reduce
-  kCombineBody,   // second lambda argument of parallel_reduce
+  kParallelBody,  // lambda argument of parallel_for
   kBlock,
 };
 

@@ -1,4 +1,4 @@
-// Determinism pass: audits every parallel_for / parallel_reduce call site
+// Determinism pass: audits every parallel_for call site
 // against the reproducibility contract of common/thread_pool.hpp. The
 // contract allows exactly three things inside a parallel body:
 //
@@ -233,9 +233,8 @@ void check_body(const SourceFile& f, const std::vector<Token>& toks,
                       "'" + t.text +
                           "' grows a container that is not body-local "
                           "inside a parallel body; element order would "
-                          "depend on chunk scheduling — preallocate and "
-                          "write per-index slots, or use the ordered "
-                          "combine of parallel_reduce");
+                          "depend on chunk scheduling — preallocate, "
+                          "write per-index slots, then fold serially");
         }
       }
       continue;
@@ -343,11 +342,10 @@ class DeterminismPass final : public Pass {
     const auto& toks = f.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       if (toks[i].kind != TokenKind::kIdentifier ||
-          (toks[i].text != "parallel_for" &&
-           toks[i].text != "parallel_reduce")) {
+          toks[i].text != "parallel_for") {
         continue;
       }
-      // Skip the definitions/declarations in thread_pool.hpp: there the
+      // Skip the definition in thread_pool.hpp: there the
       // name is preceded by its return type (an identifier, `>`, `&`, or
       // `*`); at a call site it follows a statement boundary, `return`,
       // `::`, or an argument separator.

@@ -211,10 +211,7 @@ void check_combine_order(const SourceFile& f, const ScopeTree& scope,
   const auto& toks = f.tokens;
   for (std::size_t n = 0; n < scope.nodes.size(); ++n) {
     const ScopeNode& node = scope.nodes[n];
-    if (node.kind != ScopeKind::kParallelBody &&
-        node.kind != ScopeKind::kCombineBody) {
-      continue;
-    }
+    if (node.kind != ScopeKind::kParallelBody) continue;
     // Body-local = a lambda parameter, a direct local, or a local of any
     // nested plain block (not of a nested lambda).
     const auto body_local = [&](const std::string& name, std::size_t at) {
@@ -234,8 +231,7 @@ void check_combine_order(const SourceFile& f, const ScopeTree& scope,
         if (s_idx == n) return true;
         const ScopeNode& sn = scope.nodes[s_idx];
         if (sn.kind == ScopeKind::kFunction || sn.kind == ScopeKind::kLambda ||
-            sn.kind == ScopeKind::kParallelBody ||
-            sn.kind == ScopeKind::kCombineBody || sn.parent == s_idx) {
+            sn.kind == ScopeKind::kParallelBody || sn.parent == s_idx) {
           return false;
         }
         s_idx = sn.parent;
@@ -273,8 +269,8 @@ void check_combine_order(const SourceFile& f, const ScopeTree& scope,
                       "' accumulates into a captured slot whose subscript "
                       "involves no body-local index; chunks reach that slot "
                       "in scheduling order, so the floating-point sum is "
-                      "not reproducible — accumulate per-index and fold in "
-                      "the ordered combine");
+                      "not reproducible — write per-index slots, then fold "
+                      "serially");
     }
   }
 }
@@ -292,8 +288,7 @@ class NondetPass final : public Pass {
         {"nondet-pointer-key",
          "ordered containers must not be keyed by pointers"},
         {"nondet-combine-order",
-         "parallel float accumulation needs a body-local index or the "
-         "ordered combine"},
+         "parallel float accumulation needs a body-local index"},
     };
   }
 
