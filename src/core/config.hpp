@@ -43,17 +43,9 @@ struct SystemConfig {
   net::LinkConfig ethernet{100e-6, 15e-6, 0.0};   ///< controller -> TXs
   net::LinkConfig wifi{1.5e-3, 0.5e-3, 0.01};     ///< RX -> controller
   double kappa = 1.3;                   ///< SJR heuristic weight
-  bool personalize_kappa = false;       ///< per-TX kappa search per epoch
   double power_budget_w = 1.2;          ///< P_C,tot for communication
   double max_swing_a = 0.9;             ///< Isw,max
   std::uint64_t seed = 0xD5EED;         ///< master randomness seed
-  /// Re-probe only links whose physical channel changed since the last
-  /// epoch; unchanged RX columns keep their previous measurement instead
-  /// of burning probe airtime on a fresh (noisy) estimate. Off by
-  /// default: the legacy full sweep re-draws every link each epoch, and
-  /// the two modes only agree bit for bit while every column is dirty.
-  bool incremental_probing = false;
-  DegradationConfig degradation{};      ///< controller fallback behaviour
   fault::FaultSchedule faults{};        ///< injected component failures
 };
 

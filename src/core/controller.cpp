@@ -2,10 +2,20 @@
 
 #include <algorithm>
 
-#include "alloc/adaptive_kappa.hpp"
 #include "common/contracts.hpp"
 
 namespace densevlc::core {
+namespace {
+
+// Degradation timing, in controller decision periods
+// (cfg.mac.epoch_period_s each): a silent RX's last-good column is
+// trusted for kHoldEpochs, then expires; an expired RX is re-probed
+// after 1 epoch, the interval doubling per retry up to
+// kBackoffMaxEpochs.
+constexpr std::size_t kHoldEpochs = 3;
+constexpr std::size_t kBackoffMaxEpochs = 8;
+
+}  // namespace
 
 std::size_t Controller::update_channel(
     const channel::ChannelMatrix& measured) {
@@ -16,13 +26,7 @@ std::size_t Controller::update_channel(
 
 bool Controller::age_reports(const std::vector<bool>& fresh,
                              std::size_t num_rx) {
-  if (health_.size() < num_rx) {
-    health_.resize(num_rx);
-    for (auto& h : health_) {
-      h.backoff_epochs = std::max<std::size_t>(
-          1, cfg_.degradation.backoff_initial_epochs);
-    }
-  }
+  if (health_.size() < num_rx) health_.resize(num_rx);
   bool any_fresh = false;
   for (std::size_t rx = 0; rx < num_rx; ++rx) {
     auto& h = health_[rx];
@@ -30,14 +34,13 @@ bool Controller::age_reports(const std::vector<bool>& fresh,
     if (is_fresh) {
       h.state = RxLinkState::kFresh;
       h.silent_epochs = 0;
-      h.backoff_epochs = std::max<std::size_t>(
-          1, cfg_.degradation.backoff_initial_epochs);
+      h.backoff_epochs = 1;
       h.epochs_until_reprobe = 0;
       any_fresh = true;
       continue;
     }
     ++h.silent_epochs;
-    if (h.silent_epochs <= cfg_.degradation.hold_epochs) {
+    if (h.silent_epochs <= kHoldEpochs) {
       h.state = RxLinkState::kStale;
       continue;
     }
@@ -48,8 +51,7 @@ bool Controller::age_reports(const std::vector<bool>& fresh,
       h.epochs_until_reprobe = h.backoff_epochs;
     } else if (h.epochs_until_reprobe == 0) {
       ++h.reprobes;
-      h.backoff_epochs = std::min(2 * h.backoff_epochs,
-                                  cfg_.degradation.backoff_max_epochs);
+      h.backoff_epochs = std::min(2 * h.backoff_epochs, kBackoffMaxEpochs);
       h.epochs_until_reprobe = h.backoff_epochs;
     } else {
       --h.epochs_until_reprobe;
@@ -113,8 +115,7 @@ std::size_t Controller::update_epoch(const EpochInput& input) {
   // completely silent, re-deciding on garbage only thrashes the TXs —
   // hold the last-good allocation (minus any TXs that died since).
   const bool hold =
-      cfg_.degradation.enabled && have_decision_ &&
-      (input.overrun || (!any_fresh && !input.fresh.empty()));
+      have_decision_ && (input.overrun || (!any_fresh && !input.fresh.empty()));
   if (hold) {
     ++watchdog_holds_;
     prune_dead_txs(input.dead_tx);
@@ -132,28 +133,16 @@ std::size_t Controller::update_epoch(const EpochInput& input) {
       for (std::size_t rx = 0; rx < num_rx; ++rx) view.set_gain(tx, rx, 0.0);
     }
   }
-  if (cfg_.degradation.enabled) {
-    for (std::size_t rx = 0; rx < num_rx && rx < health_.size(); ++rx) {
-      if (health_[rx].state != RxLinkState::kExpired) continue;
-      for (std::size_t tx = 0; tx < num_tx; ++tx) view.set_gain(tx, rx, 0.0);
-    }
+  for (std::size_t rx = 0; rx < num_rx && rx < health_.size(); ++rx) {
+    if (health_[rx].state != RxLinkState::kExpired) continue;
+    for (std::size_t tx = 0; tx < num_tx; ++tx) view.set_gain(tx, rx, 0.0);
   }
 
   alloc::AssignmentOptions opts;
   opts.max_swing_a = cfg_.max_swing_a;
   opts.allow_partial_tail = false;  // Insight 2: binary swing in practice
 
-  std::vector<alloc::RankedTx> ranking;
-  if (cfg_.personalize_kappa) {
-    alloc::AdaptiveKappaConfig acfg;
-    acfg.initial_kappa = cfg_.kappa;
-    acfg.max_rounds = 4;
-    const auto personal = alloc::personalize_kappa(
-        view, Watts{cfg_.power_budget_w}, cfg_.link_budget, opts, acfg);
-    ranking = alloc::rank_transmitters_per_tx(view, personal.kappas);
-  } else {
-    ranking = alloc::rank_transmitters(view, cfg_.kappa);
-  }
+  const auto ranking = alloc::rank_transmitters(view, cfg_.kappa);
   const auto result =
       alloc::assign_by_ranking(ranking, view.num_tx(), view.num_rx(),
                                Watts{cfg_.power_budget_w}, cfg_.link_budget,

@@ -9,11 +9,12 @@
 // best, since they are its neighbours).
 //
 // On top of the paper's happy path sits a graceful-degradation layer
-// (see docs/architecture.md, "Fault model"): per-RX report aging with
-// exponential-backoff re-probing, a watchdog that falls back to the
-// last-good allocation when the epoch overruns or every report goes
-// silent, dead-TX exclusion feeding the SJR ranking, and leader
-// re-election when a held beamspot's leading TX dies.
+// (see docs/architecture.md, "Fault model"): per-RX report aging (a
+// silent RX's column is held 3 epochs, then expires) with
+// exponential-backoff re-probing (1, 2, 4, 8 epochs), a watchdog that
+// falls back to the last-good allocation when the epoch overruns or
+// every report goes silent, dead-TX exclusion feeding the SJR ranking,
+// and leader re-election when a held beamspot's leading TX dies.
 #pragma once
 
 #include <cstdint>
@@ -33,24 +34,11 @@ struct Beamspot {
   std::size_t leader = 0;        ///< appointed leading TX
 };
 
-/// Graceful-degradation knobs. Epoch counts are in controller decision
-/// periods (cfg.mac.epoch_period_s each).
-struct DegradationConfig {
-  bool enabled = true;
-  /// Silent epochs a last-good column is trusted before it expires and
-  /// the RX is released from the allocation.
-  std::size_t hold_epochs = 3;
-  /// Re-probe cadence for expired RXs: first retry after this many
-  /// epochs, doubling per retry up to the cap.
-  std::size_t backoff_initial_epochs = 1;
-  std::size_t backoff_max_epochs = 8;
-};
-
 /// Where an RX's measurement column sits in the aging state machine.
 enum class RxLinkState : std::uint8_t {
   kFresh,    ///< report decoded this epoch
   kStale,    ///< silent, but the held column is still trusted
-  kExpired,  ///< silent past hold_epochs; released from the allocation
+  kExpired,  ///< silent past the hold; released from the allocation
 };
 
 /// Per-RX degradation bookkeeping, exposed for tests and benches.
@@ -78,11 +66,6 @@ struct ControllerConfig {
   double power_budget_w = 1.2;
   double max_swing_a = 0.9;
   channel::LinkBudget link_budget{};
-  /// Run the per-TX kappa personalization (paper Sec. 9) on every
-  /// channel update instead of the uniform-kappa ranking. Costs a few
-  /// hundred heuristic evaluations per epoch (~ms) for a utility bump.
-  bool personalize_kappa = false;
-  DegradationConfig degradation{};
 };
 
 /// Holds the latest measurements and the allocation derived from them.

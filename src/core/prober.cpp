@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -258,57 +258,29 @@ void ChannelProber::probe_links(
   });
 }
 
-channel::ChannelMatrix ChannelProber::sweep(
-    const channel::ChannelMatrix& truth, channel::ChannelMatrix measured,
-    std::span<const std::size_t> links, Rng& rng) const {
-  // One fork anchors the whole sweep to the caller's stream position;
-  // each link then gets its own split() sub-stream keyed by its global
-  // index, so the noise draws are a function of (sweep, link index)
-  // alone — not of which other links are probed, nor of the order (or
-  // thread) in which they run. Bit-identical at any thread count.
-  const Rng sweep_rng = rng.fork();
-  const std::size_t m = truth.num_rx();
-  std::vector<double> gains(links.size());
-  for (std::size_t w = 0; w < links.size(); ++w) {
-    gains[w] = truth.gain(links[w] / m, links[w] % m);
-  }
-  std::vector<ProbeResult> results(links.size());
-  probe_links(
-      gains,
-      [&](std::size_t w) { return sweep_rng.split(links[w]).fork(); },
-      results);
-  for (std::size_t w = 0; w < links.size(); ++w) {
-    measured.set_gain(links[w] / m, links[w] % m, results[w].gain_estimate);
-  }
-  return measured;
-}
-
 channel::ChannelMatrix ChannelProber::probe_matrix(
     const channel::ChannelMatrix& truth, Rng& rng) const {
-  std::vector<std::size_t> links(truth.num_tx() * truth.num_rx());
-  std::iota(links.begin(), links.end(), std::size_t{0});
-  return sweep(truth, truth, links, rng);
-}
-
-channel::ChannelMatrix ChannelProber::probe_matrix_incremental(
-    const channel::ChannelMatrix& truth, Rng& rng,
-    const std::vector<bool>& dirty_rx,
-    const channel::ChannelMatrix& previous) const {
-  // Still one fork regardless of how many links are skipped: the
-  // caller's stream stays aligned with probe_matrix, so everything drawn
-  // after the sweep (report loss, TX offsets, ...) is unaffected by the
-  // mode, and each probed link draws the noise it would have drawn under
-  // probe_matrix.
-  const std::size_t n = truth.num_tx();
+  // One fork anchors the whole sweep to the caller's stream position;
+  // each link then gets its own split() sub-stream keyed by its index
+  // in the matrix, so the noise draws are a function of (sweep, link
+  // index) alone — not of the order (or thread) in which links run.
+  // Bit-identical at any thread count.
+  const Rng sweep_rng = rng.fork();
   const std::size_t m = truth.num_rx();
-  const bool shape_ok = previous.num_tx() == n && previous.num_rx() == m &&
-                        dirty_rx.size() == m;
-  std::vector<std::size_t> links;
-  links.reserve(n * m);
-  for (std::size_t idx = 0; idx < n * m; ++idx) {
-    if (!shape_ok || dirty_rx[idx % m]) links.push_back(idx);
+  const std::size_t links = truth.num_tx() * m;
+  std::vector<double> gains(links);
+  for (std::size_t idx = 0; idx < links; ++idx) {
+    gains[idx] = truth.gain(idx / m, idx % m);
   }
-  return sweep(truth, shape_ok ? previous : truth, links, rng);
+  std::vector<ProbeResult> results(links);
+  probe_links(
+      gains, [&](std::size_t idx) { return sweep_rng.split(idx).fork(); },
+      results);
+  std::vector<double> measured(links);
+  for (std::size_t idx = 0; idx < links; ++idx) {
+    measured[idx] = results[idx].gain_estimate;
+  }
+  return {truth.num_tx(), m, std::move(measured)};
 }
 
 }  // namespace densevlc::core

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "channel/model.hpp"
 #include "common/rng.hpp"
@@ -46,24 +45,14 @@ class ChannelProber {
   ProbeResult probe_link(double h, Rng& rng) const;
 
   /// Probes every entry of a true channel matrix, returning the measured
-  /// matrix (undetected links measure 0). Links are probed in parallel on
-  /// the global pool; each link draws from its own split() sub-stream of
-  /// one fork of `rng`, so the measurement is bit-identical at any thread
-  /// count (and `rng` advances by exactly one fork regardless of size).
+  /// matrix (undetected links measure 0): the probe phase of paper
+  /// Sec. 3.2, which re-measures every link each epoch. Links are probed
+  /// four at a time in parallel on the global pool; each link draws from
+  /// its own split() sub-stream of one fork of `rng`, so the measurement
+  /// is bit-identical at any thread count (and `rng` advances by exactly
+  /// one fork regardless of size).
   channel::ChannelMatrix probe_matrix(const channel::ChannelMatrix& truth,
                                       Rng& rng) const;
-
-  /// Incremental sweep: probes only the RX columns flagged in `dirty_rx`;
-  /// clean columns keep the measurements in `previous` (that airtime is
-  /// simply not spent). Consumes exactly one fork of `rng` like
-  /// probe_matrix, and keys each link's noise sub-stream by the same
-  /// global link index, so an all-dirty mask reproduces probe_matrix
-  /// bit for bit. Falls back to a full sweep when `previous` or
-  /// `dirty_rx` does not match the truth dimensions.
-  channel::ChannelMatrix probe_matrix_incremental(
-      const channel::ChannelMatrix& truth, Rng& rng,
-      const std::vector<bool>& dirty_rx,
-      const channel::ChannelMatrix& previous) const;
 
   /// The calibration constant mapping received voltage amplitude back to
   /// channel gain: volts per unit H.
@@ -78,14 +67,6 @@ class ChannelProber {
   void probe_links(std::span<const double> gains,
                    const std::function<Rng(std::size_t)>& noise_for,
                    std::span<ProbeResult> out) const;
-
-  /// Probes the global link indices `links` of `truth` over `measured`:
-  /// one fork of `rng` anchors the sweep, and link idx draws from
-  /// split(idx) of it, whatever else the sweep covers.
-  channel::ChannelMatrix sweep(const channel::ChannelMatrix& truth,
-                               channel::ChannelMatrix measured,
-                               std::span<const std::size_t> links,
-                               Rng& rng) const;
 
   optics::LedModel led_;
   phy::OokParams ook_;

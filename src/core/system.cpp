@@ -14,11 +14,9 @@ namespace {
 ControllerConfig controller_config(const SystemConfig& cfg) {
   ControllerConfig cc;
   cc.kappa = cfg.kappa;
-  cc.personalize_kappa = cfg.personalize_kappa;
   cc.power_budget_w = cfg.power_budget_w;
   cc.max_swing_a = cfg.max_swing_a;
   cc.link_budget = cfg.testbed.budget;
-  cc.degradation = cfg.degradation;
   return cc;
 }
 
@@ -186,35 +184,7 @@ std::vector<double> DenseVlcSystem::draw_tx_offsets(const Beamspot& spot,
 
 void DenseVlcSystem::measure_and_decide(double t_s, Rng& rng) {
   const auto truth = faulted_channel(t_s);
-  // With incremental probing on, only RX columns whose physical channel
-  // changed since the previous sweep (movement, blockage, TX fault
-  // scaling) are re-probed; clean columns keep their last measurement.
-  // Either path consumes exactly one fork of `rng`, so the draws after
-  // the sweep (WiFi report loss, ...) are identical in both modes.
-  channel::ChannelMatrix measured;
-  if (cfg_.incremental_probing) {
-    if (have_probe_cache_ && last_probe_truth_.num_tx() == truth.num_tx() &&
-        last_probe_truth_.num_rx() == truth.num_rx()) {
-      std::vector<bool> dirty(truth.num_rx(), false);
-      for (std::size_t k = 0; k < truth.num_rx(); ++k) {
-        for (std::size_t j = 0; j < truth.num_tx(); ++j) {
-          if (truth.gain(j, k) != last_probe_truth_.gain(j, k)) {
-            dirty[k] = true;
-            break;
-          }
-        }
-      }
-      measured =
-          prober_.probe_matrix_incremental(truth, rng, dirty, last_measured_);
-    } else {
-      measured = prober_.probe_matrix(truth, rng);
-    }
-    last_probe_truth_ = truth;
-    last_measured_ = measured;
-    have_probe_cache_ = true;
-  } else {
-    measured = prober_.probe_matrix(truth, rng);
-  }
+  const auto measured = prober_.probe_matrix(truth, rng);
 
   // Each RX serializes a quantized channel report and sends it over the
   // lossy WiFi uplink; the controller decodes what arrives. A lost

@@ -177,11 +177,6 @@ class DenseVlcSystem {
   mutable std::vector<geom::Vec3> truth_positions_;
   mutable channel::ChannelMatrix truth_cache_;
   mutable bool truth_cache_valid_ = false;
-  // Incremental-probing state (cfg_.incremental_probing): the physical
-  // channel seen by the last probe sweep, and what it measured.
-  channel::ChannelMatrix last_probe_truth_;
-  channel::ChannelMatrix last_measured_;
-  bool have_probe_cache_ = false;
 };
 
 }  // namespace densevlc::core

@@ -9,24 +9,6 @@
 #include "dsp/dsp_kernels.hpp"
 
 namespace densevlc::dsp {
-
-std::vector<double> correlate(std::span<const double> signal,
-                              std::span<const double> pattern) {
-  std::vector<double> out;
-  if (pattern.empty() || signal.size() < pattern.size()) return out;
-  const std::size_t n = signal.size() - pattern.size() + 1;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < pattern.size(); ++j) {
-      acc += signal[i + j] * pattern[j];
-    }
-    // DVLC_LINT_WAIVE(hot-loop-alloc): reserved above, ablation-only path
-    out.push_back(acc);
-  }
-  return out;
-}
-
 namespace {
 
 // Scores window positions [first, last) into scratch.scores[0, last - first).
@@ -149,14 +131,6 @@ std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
                                             double threshold) {
   CorrelateScratch scratch;
   return detect_pattern_into(signal, pattern, threshold, scratch);
-}
-
-std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
-                                            std::span<const double> pattern,
-                                            double threshold, std::size_t first,
-                                            std::size_t last) {
-  CorrelateScratch scratch;
-  return detect_pattern_into(signal, pattern, threshold, first, last, scratch);
 }
 
 }  // namespace densevlc::dsp

@@ -14,12 +14,6 @@
 
 namespace densevlc::dsp {
 
-/// Raw sliding-dot-product correlation of `pattern` against `signal`.
-/// Output length is signal.size() - pattern.size() + 1; empty if the
-/// pattern is longer than the signal.
-std::vector<double> correlate(std::span<const double> signal,
-                              std::span<const double> pattern);
-
 /// Normalized cross-correlation in [-1, 1]: each window of the signal is
 /// mean-removed and scaled by its energy, as is the pattern. Windows with
 /// no variance correlate as 0.
@@ -38,13 +32,6 @@ struct PeakDetection {
 std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
                                             std::span<const double> pattern,
                                             double threshold);
-
-/// detect_pattern searching only window positions [first, last); see the
-/// range overload of detect_pattern_into.
-std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
-                                            std::span<const double> pattern,
-                                            double threshold, std::size_t first,
-                                            std::size_t last);
 
 // --- Zero-allocation overloads (see common/arena.hpp) -------------------
 
@@ -76,6 +63,7 @@ std::optional<PeakDetection> detect_pattern_into(
 /// at that position: the result equals the full search whenever the
 /// full search's peak lies inside the range. On return `scratch.scores`
 /// holds the scores of positions first, first + 1, ... in order.
+// DVLC_LINT_WAIVE(api-pair-drift): no value twin; range callers hold a scratch
 std::optional<PeakDetection> detect_pattern_into(
     std::span<const double> signal, std::span<const double> pattern,
     double threshold, std::size_t first, std::size_t last,

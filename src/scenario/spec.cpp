@@ -34,16 +34,6 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return v;
 }
 
-std::optional<bool> parse_bool(const std::string& text) {
-  if (text == "true" || text == "yes" || text == "on" || text == "1") {
-    return true;
-  }
-  if (text == "false" || text == "no" || text == "off" || text == "0") {
-    return false;
-  }
-  return std::nullopt;
-}
-
 /// Shortest round-trip decimal form of a double ("0.5", not "0.500000").
 std::string format_double(double v) {
   char buf[64];
@@ -161,12 +151,6 @@ KeyOutcome apply_key(ScenarioSpec& spec, const std::string& key,
       return reject(key, "bandwidth must be a positive number of MHz");
     }
     spec.bandwidth_mhz = *v;
-    return accept();
-  }
-  if (key == "system.incremental_probing") {
-    const auto v = parse_bool(value);
-    if (!v) return reject(key, "expected a boolean (true/false)");
-    spec.incremental_probing = *v;
     return accept();
   }
 
@@ -520,8 +504,6 @@ std::string serialize_spec(const ScenarioSpec& spec) {
   out << "kappa = " << format_double(spec.kappa) << '\n';
   out << "power_budget_w = " << format_double(spec.power_budget_w) << '\n';
   out << "bandwidth_mhz = " << format_double(spec.bandwidth_mhz) << '\n';
-  out << "incremental_probing = "
-      << (spec.incremental_probing ? "true" : "false") << '\n';
 
   out << "\n[room]\n";
   out << "width = " << format_double(spec.room_width_m) << '\n';

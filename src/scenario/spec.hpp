@@ -66,7 +66,6 @@ struct ScenarioSpec {
   double kappa = 1.3;
   double power_budget_w = 1.2;
   double bandwidth_mhz = 1.0;
-  bool incremental_probing = false;
 
   // [room]
   double room_width_m = 3.0;

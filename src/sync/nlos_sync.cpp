@@ -109,14 +109,6 @@ std::vector<double> NlosSynchronizer::pilot_template() const {
 NlosDetection NlosSynchronizer::simulate_once(Rng& rng) {
   NlosDetection out;
 
-  // Injected pilot loss: the follower captures only noise, so there is
-  // nothing to correlate against. (Guarded so a zero probability leaves
-  // the historical draw sequence bit-identical.)
-  if (cfg_.pilot_loss_probability > 0.0 &&
-      rng.bernoulli(cfg_.pilot_loss_probability)) {
-    return out;
-  }
-
   // Random lead-in with sub-chip fraction: the pilot lands at an arbitrary
   // phase of the follower's sampling grid, which is exactly what bounds
   // the achievable sync accuracy.

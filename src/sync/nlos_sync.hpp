@@ -43,10 +43,6 @@ struct NlosSyncConfig {
   phy::FrontEndConfig frontend{}; ///< follower receive chain (frx = ADC)
   double detect_threshold = 0.55; ///< normalized correlation floor
   std::uint8_t leader_id = 2;     ///< ID byte appended to the pilot
-  /// Probability a pilot never reaches the follower at all (leader
-  /// driver glitch, transient occlusion of the bounce path): the fault
-  /// model's sync-pilot-loss knob. 0 keeps the draw stream untouched.
-  double pilot_loss_probability = 0.0;
   std::vector<optics::FloorOccluder> occluders{};  ///< people/objects on
                                                    ///< the bounce path
 };

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
-#include "scenario/scenarios.hpp"
 
 namespace densevlc::core {
 namespace {
@@ -67,20 +66,6 @@ TEST(FailureInjection, ZeroBudgetRunsCleanly) {
   EXPECT_TRUE(epoch.beamspots.empty());
   const auto run = system.run(0.3, 40);
   EXPECT_EQ(run.rx[0].frames_sent, 0u);
-}
-
-TEST(FailureInjection, PersonalizedKappaControllerWorksEndToEnd) {
-  SystemConfig cfg = base_config();
-  cfg.personalize_kappa = true;
-  cfg.power_budget_w = 1.2;
-  auto system = DenseVlcSystem::with_static_rxs(
-      cfg, scenario::fig7_rx_positions());
-  const auto epoch = system.run_epoch_analytic(0.0);
-  EXPECT_EQ(epoch.beamspots.size(), 4u);
-  double total = 0.0;
-  for (double t : epoch.throughput_bps) total += t;
-  // Must at least match the uniform controller's ballpark.
-  EXPECT_GT(total, 8e6);
 }
 
 }  // namespace

@@ -71,68 +71,6 @@ TEST(Prober, CalibrationConstantPositive) {
   EXPECT_GT(f.prober.volts_per_gain(), 0.0);
 }
 
-TEST(Prober, IncrementalAllDirtyMatchesFullSweep) {
-  Fixture f;
-  const auto truth = f.tb.channel_for(scenario::fig7_rx_positions());
-  Rng rng_full{7};
-  Rng rng_inc{7};
-  const auto full = f.prober.probe_matrix(truth, rng_full);
-  const channel::ChannelMatrix previous{
-      truth.num_tx(), truth.num_rx(),
-      std::vector<double>(truth.num_tx() * truth.num_rx(), 0.0)};
-  const std::vector<bool> all_dirty(truth.num_rx(), true);
-  const auto inc =
-      f.prober.probe_matrix_incremental(truth, rng_inc, all_dirty, previous);
-  for (std::size_t j = 0; j < truth.num_tx(); ++j) {
-    for (std::size_t k = 0; k < truth.num_rx(); ++k) {
-      EXPECT_EQ(inc.gain(j, k), full.gain(j, k)) << "j=" << j << " k=" << k;
-    }
-  }
-  // Both sweeps must consume exactly one fork of the caller's stream.
-  EXPECT_DOUBLE_EQ(rng_full.uniform(), rng_inc.uniform());
-}
-
-TEST(Prober, IncrementalCleanColumnsKeepPreviousMeasurement) {
-  Fixture f;
-  const auto truth = f.tb.channel_for(scenario::fig7_rx_positions());
-  Rng rng{8};
-  const auto previous = f.prober.probe_matrix(truth, rng);
-  std::vector<bool> dirty(truth.num_rx(), false);
-  dirty[2] = true;
-  const auto inc =
-      f.prober.probe_matrix_incremental(truth, rng, dirty, previous);
-  for (std::size_t j = 0; j < truth.num_tx(); ++j) {
-    for (std::size_t k = 0; k < truth.num_rx(); ++k) {
-      if (k != 2) {
-        // Clean columns: no airtime spent, previous values verbatim.
-        EXPECT_EQ(inc.gain(j, k), previous.gain(j, k))
-            << "j=" << j << " k=" << k;
-      }
-    }
-  }
-  // The re-probed column is a fresh noisy measurement of the same truth:
-  // plausible (ordering preserved) but drawn from a different stream.
-  EXPECT_EQ(inc.best_tx_for(2), truth.best_tx_for(2));
-}
-
-TEST(Prober, IncrementalShapeMismatchFallsBackToFullSweep) {
-  Fixture f;
-  const auto truth = f.tb.channel_for(scenario::fig7_rx_positions());
-  Rng rng_full{9};
-  Rng rng_inc{9};
-  const auto full = f.prober.probe_matrix(truth, rng_full);
-  const channel::ChannelMatrix wrong_shape{
-      2, 2, std::vector<double>(4, 0.0)};  // stale cache
-  const std::vector<bool> none_dirty(truth.num_rx(), false);
-  const auto inc = f.prober.probe_matrix_incremental(truth, rng_inc,
-                                                     none_dirty, wrong_shape);
-  for (std::size_t j = 0; j < truth.num_tx(); ++j) {
-    for (std::size_t k = 0; k < truth.num_rx(); ++k) {
-      EXPECT_EQ(inc.gain(j, k), full.gain(j, k)) << "j=" << j << " k=" << k;
-    }
-  }
-}
-
 TEST(Prober, SnrDropsWithGain) {
   Fixture f;
   Rng rng{6};

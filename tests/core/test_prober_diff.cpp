@@ -1,12 +1,12 @@
 // Differential suite for the batch channel prober.
 //
-// probe_matrix, probe_matrix_incremental and probe_link are held bit for
-// bit against the frozen per-link prober in bench/prober_reference (value
-// front-end, per-link render, global correlation argmax): on both
-// testbeds, at the Fig. 7 receivers and at seeded drops, with zero-gain
-// links, with dirty masks whose live links leave 1-, 2- and 3-lane
-// quads, and at 1 and 4 pool threads. Like test_batch, every test runs
-// under the native and the forced-scalar SIMD dispatch.
+// probe_matrix and probe_link are held bit for bit against the frozen
+// per-link prober in bench/prober_reference (value front-end, per-link
+// render, global correlation argmax): on both testbeds, at the Fig. 7
+// receivers and at seeded drops, with zero-gain links, with live-link
+// counts that leave 1-, 2- and 3-lane final quads, and at 1 and 4 pool
+// threads. Like test_batch, every test runs under the native and the
+// forced-scalar SIMD dispatch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,16 +58,13 @@ struct Rig {
   }
 
   /// The reference sweep: one fork anchors it, link idx draws from
-  /// split(idx); links outside `probed` keep `base`.
+  /// split(idx).
   channel::ChannelMatrix reference_sweep(const channel::ChannelMatrix& truth,
-                                         const channel::ChannelMatrix& base,
-                                         const std::vector<bool>& probed,
                                          Rng& rng) const {
     const Rng sweep = rng.fork();
-    channel::ChannelMatrix out = base;
+    channel::ChannelMatrix out = truth;
     const std::size_t m = truth.num_rx();
     for (std::size_t idx = 0; idx < truth.num_tx() * m; ++idx) {
-      if (!probed[idx]) continue;
       Rng link_rng = sweep.split(idx);
       out.set_gain(idx / m, idx % m,
                    reference(truth.gain(idx / m, idx % m), link_rng)
@@ -129,8 +126,7 @@ TEST_P(ProberDiff, FullSweepMatchesReference) {
     for (std::size_t r = 0; r < sets.size(); ++r) {
       const auto truth = tb.channel_for(sets[r]);
       Rng ref_rng{100 + r};
-      const std::vector<bool> all(truth.num_tx() * truth.num_rx(), true);
-      const auto want = s.reference_sweep(truth, truth, all, ref_rng);
+      const auto want = s.reference_sweep(truth, ref_rng);
       for (const std::size_t threads : kThreadCounts) {
         set_global_threads(threads);
         Rng rng{100 + r};
@@ -154,9 +150,8 @@ TEST_P(ProberDiff, ZeroGainLinksMatchReference) {
     for (std::size_t j = 0; j < truth.num_tx(); j += 7) {
       truth.set_gain(j, 0, 0.0);
     }
-    const std::vector<bool> all(truth.num_tx() * truth.num_rx(), true);
     Rng ref_rng{7};
-    const auto want = s.reference_sweep(truth, truth, all, ref_rng);
+    const auto want = s.reference_sweep(truth, ref_rng);
     for (const std::size_t threads : kThreadCounts) {
       set_global_threads(threads);
       Rng rng{7};
@@ -173,70 +168,23 @@ TEST_P(ProberDiff, DirtyMasksLeavingPartialQuadsMatchReference) {
   for (const auto& tb : testbeds()) {
     const Rig s{tb};
     const auto rx = scenario::fig7_rx_positions();
-    Rng prev_rng{11};
-    const auto previous = s.prober.probe_matrix(tb.channel_for(rx), prev_rng);
-    // One dirty column with 33, 34 and 35 live links (1-, 2- and 3-lane
-    // final quads), then two dirty columns whose live links total 4q + 3.
-    for (const std::size_t tail : {1u, 2u, 3u}) {
+    // Live links per column: one column with 33, 34 and 35 live links
+    // (1-, 2- and 3-lane final quads), then two columns whose live links
+    // total 4q + 3; every other column is zeroed.
+    const std::vector<std::vector<std::size_t>> layouts{
+        {0, 33, 0, 0}, {0, 34, 0, 0}, {0, 35, 0, 0}, {30, 0, 0, 33}};
+    for (std::size_t l = 0; l < layouts.size(); ++l) {
       auto truth = tb.channel_for(rx);
-      std::vector<bool> dirty(truth.num_rx(), false);
-      dirty[1] = true;
-      keep_live_in_column(truth, 1, 32 + tail);
-      std::vector<bool> probed(truth.num_tx() * truth.num_rx(), false);
-      for (std::size_t idx = 0; idx < probed.size(); ++idx) {
-        probed[idx] = dirty[idx % truth.num_rx()];
+      for (std::size_t k = 0; k < truth.num_rx(); ++k) {
+        keep_live_in_column(truth, k, layouts[l][k]);
       }
-      Rng ref_rng{20 + tail};
-      const auto want = s.reference_sweep(truth, previous, probed, ref_rng);
+      Rng ref_rng{20 + l};
+      const auto want = s.reference_sweep(truth, ref_rng);
       for (const std::size_t threads : kThreadCounts) {
         set_global_threads(threads);
-        Rng rng{20 + tail};
-        expect_same(
-            s.prober.probe_matrix_incremental(truth, rng, dirty, previous),
-            want);
+        Rng rng{20 + l};
+        expect_same(s.prober.probe_matrix(truth, rng), want);
       }
-    }
-    auto truth = tb.channel_for(rx);
-    keep_live_in_column(truth, 0, 30);
-    keep_live_in_column(truth, 3, 33);
-    const std::vector<bool> dirty{true, false, false, true};
-    std::vector<bool> probed(truth.num_tx() * truth.num_rx(), false);
-    for (std::size_t idx = 0; idx < probed.size(); ++idx) {
-      probed[idx] = dirty[idx % truth.num_rx()];
-    }
-    Rng ref_rng{30};
-    const auto want = s.reference_sweep(truth, previous, probed, ref_rng);
-    for (const std::size_t threads : kThreadCounts) {
-      set_global_threads(threads);
-      Rng rng{30};
-      expect_same(
-          s.prober.probe_matrix_incremental(truth, rng, dirty, previous),
-          want);
-    }
-  }
-}
-
-TEST_P(ProberDiff, AllDirtyIncrementalMatchesFullSweepAndReference) {
-  for (const auto& tb : testbeds()) {
-    const Rig s{tb};
-    const auto truth = tb.channel_for(rx_sets(tb.room)[1]);
-    const channel::ChannelMatrix previous{
-        truth.num_tx(), truth.num_rx(),
-        std::vector<double>(truth.num_tx() * truth.num_rx(), 0.0)};
-    const std::vector<bool> all_dirty(truth.num_rx(), true);
-    const std::vector<bool> all(truth.num_tx() * truth.num_rx(), true);
-    Rng ref_rng{40};
-    const auto want = s.reference_sweep(truth, truth, all, ref_rng);
-    for (const std::size_t threads : kThreadCounts) {
-      set_global_threads(threads);
-      Rng rng_full{40};
-      Rng rng_inc{40};
-      const auto full = s.prober.probe_matrix(truth, rng_full);
-      const auto inc = s.prober.probe_matrix_incremental(truth, rng_inc,
-                                                         all_dirty, previous);
-      expect_same(full, want);
-      expect_same(inc, want);
-      EXPECT_EQ(rng_full.uniform(), rng_inc.uniform());
     }
   }
 }

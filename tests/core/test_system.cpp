@@ -86,57 +86,6 @@ TEST(System, NoSyncOffsetsAreLarge) {
   EXPECT_GT(max_spread, 5e-6);  // multiple microseconds of skew
 }
 
-TEST(System, IncrementalProbingMatchesFullWhenAllRxsMove) {
-  // Every RX moves between epochs, so every truth column is dirty every
-  // epoch — the one regime where incremental probing is guaranteed
-  // bit-identical to the full sweep (same noise sub-streams per link).
-  const auto make_mobility = [] {
-    std::vector<std::unique_ptr<geom::MobilityModel>> mob;
-    mob.push_back(std::make_unique<geom::WaypointMobility>(
-        std::vector<geom::WaypointMobility::Waypoint>{
-            {0.0, {0.75, 0.75, 0.0}}, {10.0, {2.25, 2.25, 0.0}}}));
-    mob.push_back(std::make_unique<geom::WaypointMobility>(
-        std::vector<geom::WaypointMobility::Waypoint>{
-            {0.0, {2.25, 0.75, 0.0}}, {10.0, {0.75, 2.25, 0.0}}}));
-    return mob;
-  };
-
-  SystemConfig full_cfg = fast_config();
-  full_cfg.incremental_probing = false;
-  SystemConfig inc_cfg = fast_config();
-  inc_cfg.incremental_probing = true;
-
-  DenseVlcSystem full_sys{full_cfg, make_mobility()};
-  DenseVlcSystem inc_sys{inc_cfg, make_mobility()};
-
-  for (double t : {0.0, 1.0, 2.0, 3.0}) {
-    const auto a = full_sys.run_epoch_analytic(t);
-    const auto b = inc_sys.run_epoch_analytic(t);
-    ASSERT_EQ(a.throughput_bps.size(), b.throughput_bps.size()) << "t=" << t;
-    for (std::size_t k = 0; k < a.throughput_bps.size(); ++k) {
-      EXPECT_EQ(a.throughput_bps[k], b.throughput_bps[k])
-          << "t=" << t << " rx=" << k;
-    }
-    EXPECT_EQ(a.power_used_w, b.power_used_w) << "t=" << t;
-    EXPECT_EQ(a.txs_assigned, b.txs_assigned) << "t=" << t;
-  }
-}
-
-TEST(System, IncrementalProbingWithStaticRxsStillServesAll) {
-  // Static RXs: after the first epoch no column is ever dirty, so the
-  // cached measurements are reused verbatim (the airtime saving). The
-  // decisions must stay sane even though no re-probing happens.
-  SystemConfig cfg = fast_config();
-  cfg.incremental_probing = true;
-  auto system = DenseVlcSystem::with_static_rxs(
-      cfg, {{0.75, 0.75, 0.0}, {2.25, 2.25, 0.0}});
-  for (double t : {0.0, 1.0, 2.0}) {
-    const auto report = system.run_epoch_analytic(t);
-    ASSERT_EQ(report.throughput_bps.size(), 2u) << "t=" << t;
-    for (double thr : report.throughput_bps) EXPECT_GT(thr, 0.0);
-  }
-}
-
 TEST(System, AnalyticEpochServesAllRxs) {
   auto system = DenseVlcSystem::with_static_rxs(
       fast_config(), scenario::fig7_rx_positions());

@@ -1,7 +1,8 @@
 // Tests for the position-range pattern search: every searched score is
 // the full search's score bit for bit, the range argmax is the global one
-// whenever that lies inside the range, and empty or overlong ranges stay
-// in bounds. Runs under the native and the forced-scalar SIMD dispatch.
+// whenever that lies inside the range (with a fresh or a reused scratch
+// alike), and empty or overlong ranges stay in bounds. Runs under the
+// native and the forced-scalar SIMD dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +78,7 @@ TEST_P(CorrelateRange, ScoresMatchFullSearchBitwise) {
 TEST_P(CorrelateRange, ArgmaxEqualsGlobalWhenInsideRange) {
   Rng rng{0xC0AB};
   std::size_t inside = 0;
+  CorrelateScratch reused;  // carries every earlier trial's buffers
   for (std::size_t trial = 0; trial < 60; ++trial) {
     const std::size_t m = 40;
     const std::size_t n = 200;
@@ -85,12 +87,16 @@ TEST_P(CorrelateRange, ArgmaxEqualsGlobalWhenInsideRange) {
     const auto global = detect_pattern(c.signal, c.pattern, 0.3);
     const auto first = static_cast<std::size_t>(rng.uniform_int(0, 140));
     const std::size_t last = first + 21;
-    CorrelateScratch scratch;
+    CorrelateScratch fresh;
     const auto ranged =
-        detect_pattern_into(c.signal, c.pattern, 0.3, first, last, scratch);
-    EXPECT_EQ(ranged.has_value(),
-              detect_pattern(c.signal, c.pattern, 0.3, first, last)
-                  .has_value());
+        detect_pattern_into(c.signal, c.pattern, 0.3, first, last, fresh);
+    const auto again =
+        detect_pattern_into(c.signal, c.pattern, 0.3, first, last, reused);
+    ASSERT_EQ(ranged.has_value(), again.has_value()) << "trial " << trial;
+    if (ranged) {
+      EXPECT_EQ(ranged->index, again->index);
+      EXPECT_EQ(ranged->score, again->score);
+    }
     if (!global || global->index < first || global->index >= last) continue;
     ++inside;
     ASSERT_TRUE(ranged) << "trial " << trial;

@@ -4,7 +4,9 @@
 //   - expansion is point-major with instance seeds derived as
 //     Rng::derive_stream_seed(base seed, expansion index);
 //   - run_campaign() is bit-identical at thread counts {1, 4, hw}
-//     (fingerprints compared double-for-double, not via hashes);
+//     (fingerprints compared double-for-double, not via hashes), for
+//     analytic instances and for soak instances, whose prober nests a
+//     parallel_for inside the campaign's;
 //   - results are independent of shard/submission order — reversed and
 //     shuffled instance lists reproduce every fingerprint exactly;
 //   - parse_campaign() rejects malformed [campaign]/[sweep] input and
@@ -57,6 +59,32 @@ rx.count = 2 | 3
 grid = grid.rows=4 grid.cols=4 grid.pitch=0.6 | grid.rows=5 grid.cols=5 grid.pitch=0.5
 )";
 
+/// A small soak campaign: each instance runs the full system, whose
+/// prober calls parallel_for from inside the campaign's parallel_for.
+const char* kSmallSoakCampaign = R"(
+[scenario]
+name = unit-soak
+kind = soak
+seed = 0xBEEF
+epochs = 2
+
+[grid]
+rows = 4
+cols = 4
+pitch = 0.6
+
+[rx]
+placement = uniform
+count = 2
+margin = 0.4
+
+[campaign]
+instances = 2
+
+[sweep]
+system.power_budget_w = 0.4 | 0.8
+)";
+
 TEST(Campaign, ExpansionIsPointMajorWithStreamSeeds) {
   const auto parsed = parse_campaign(kSmallCampaign);
   ASSERT_TRUE(parsed.ok()) << parsed.error_text();
@@ -85,39 +113,42 @@ TEST(Campaign, ExpansionIsPointMajorWithStreamSeeds) {
 }
 
 TEST(Campaign, BitIdenticalAcrossThreadCounts) {
-  const auto parsed = parse_campaign(kSmallCampaign);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  std::vector<CampaignInstance> instances;
-  ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
-
   std::vector<std::size_t> thread_counts{1, 4};
   if (std::find(thread_counts.begin(), thread_counts.end(),
                 hardware_threads()) == thread_counts.end()) {
     thread_counts.push_back(hardware_threads());
   }
-  CampaignRun reference;
-  for (std::size_t threads : thread_counts) {
-    set_global_threads(threads);
-    CampaignRun run = run_campaign(*parsed.campaign, instances);
-    if (threads == thread_counts.front()) {
-      reference = std::move(run);
-      continue;
-    }
-    SCOPED_TRACE("threads = " + std::to_string(threads));
-    ASSERT_EQ(run.instances.size(), reference.instances.size());
-    for (std::size_t i = 0; i < run.instances.size(); ++i) {
-      // Exact doubles, not hashes: any drift must be visible here.
-      EXPECT_EQ(run.instances[i].fingerprint,
-                reference.instances[i].fingerprint)
-          << "instance " << i;
-    }
-    EXPECT_EQ(run.campaign_hash, reference.campaign_hash);
-    ASSERT_EQ(run.points.size(), reference.points.size());
-    for (std::size_t p = 0; p < run.points.size(); ++p) {
-      EXPECT_EQ(run.points[p].point_hash, reference.points[p].point_hash);
-      EXPECT_EQ(run.points[p].system_mbps.mean,
-                reference.points[p].system_mbps.mean);
-      EXPECT_EQ(run.points[p].p99_mbps, reference.points[p].p99_mbps);
+  for (const char* text : {kSmallCampaign, kSmallSoakCampaign}) {
+    const auto parsed = parse_campaign(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+    SCOPED_TRACE("campaign " + parsed.campaign->base.name);
+    std::vector<CampaignInstance> instances;
+    ASSERT_TRUE(expand_campaign(*parsed.campaign, 3, instances).empty());
+
+    CampaignRun reference;
+    for (std::size_t threads : thread_counts) {
+      set_global_threads(threads);
+      CampaignRun run = run_campaign(*parsed.campaign, instances);
+      if (threads == thread_counts.front()) {
+        reference = std::move(run);
+        continue;
+      }
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      ASSERT_EQ(run.instances.size(), reference.instances.size());
+      for (std::size_t i = 0; i < run.instances.size(); ++i) {
+        // Exact doubles, not hashes: any drift must be visible here.
+        EXPECT_EQ(run.instances[i].fingerprint,
+                  reference.instances[i].fingerprint)
+            << "instance " << i;
+      }
+      EXPECT_EQ(run.campaign_hash, reference.campaign_hash);
+      ASSERT_EQ(run.points.size(), reference.points.size());
+      for (std::size_t p = 0; p < run.points.size(); ++p) {
+        EXPECT_EQ(run.points[p].point_hash, reference.points[p].point_hash);
+        EXPECT_EQ(run.points[p].system_mbps.mean,
+                  reference.points[p].system_mbps.mean);
+        EXPECT_EQ(run.points[p].p99_mbps, reference.points[p].p99_mbps);
+      }
     }
   }
   set_global_threads(0);

@@ -63,7 +63,6 @@ TEST(SpecParser, AllSectionsRoundTrip) {
   spec.kappa = 2.25;
   spec.power_budget_w = 0.8;
   spec.bandwidth_mhz = 2.5;
-  spec.incremental_probing = true;
   spec.room_width_m = 4.5;
   spec.room_depth_m = 3.25;
   spec.room_height_m = 3.0;
@@ -161,8 +160,6 @@ TEST(SpecParser, RejectsOutOfRangeValues) {
 }
 
 TEST(SpecParser, RejectsMalformedBoolAndEnum) {
-  expect_rejected(valid_text("[system]\nincremental_probing = maybe\n"),
-                  "system.incremental_probing");
   expect_rejected(valid_text("[scenario]\nkind = quantum\n"),
                   "scenario.kind");
   expect_rejected(valid_text("[system]\ntestbed = lab\n"), "system.testbed");
