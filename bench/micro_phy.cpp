@@ -7,13 +7,13 @@
 //   frame_codec      headline: serialize + interleave + Manchester chips
 //                    and back, old scalar path vs LUT fast path
 //                    (frames/s; the >= 3x acceptance figure)
-//   frame_codec_batch  the same pipeline through the batch-of-frames API
-//                    (phy/frame_batch.hpp) with native SIMD dispatch,
-//                    against the per-frame path pinned onto the LUT
-//                    kernels (simd::set_force_scalar) — the >= 2x
-//                    past-the-plateau figure. `--threads N` shards the
-//                    lanes into N independent batch pipelines; a
-//                    batch-size sweep reports scaling in full mode.
+//   frame_codec_batch  paper-format frames (depth 0): per lane
+//                    serialize_frame_into and a Manchester round trip,
+//                    then one parse_frames_batch over all lanes with
+//                    native SIMD dispatch, against the same work as
+//                    one-lane parses pinned onto the LUT kernels
+//                    (simd::set_force_scalar); a batch-size sweep
+//                    reports scaling in full mode.
 //   rs_codec         RS(216, 200) encode + 4-error decode (bytes/s)
 //   manchester       byte round trip, bit loops vs 256-entry LUTs
 //   frontend_filter  TIA + AC + Butterworth + ADC chain (samples/s)
@@ -28,10 +28,9 @@
 // Results go to stdout as tables and to BENCH_phy.json (path
 // overridable via argv) for CI artifacts.
 //
-// Usage: micro_phy [--quick] [--threads N] [output.json]
+// Usage: micro_phy [--quick] [output.json]
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -45,10 +44,8 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/frame_codec.hpp"
 #include "phy/frontend.hpp"
 #include "phy/manchester.hpp"
@@ -109,14 +106,10 @@ std::vector<std::uint8_t> make_bytes(std::size_t count, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::size_t threads = 1;
   std::string out_path = "BENCH_phy.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      threads = n > 0 ? static_cast<std::size_t>(n) : 1;
     } else {
       out_path = argv[i];
     }
@@ -207,7 +200,7 @@ int main(int argc, char** argv) {
     results.push_back(std::move(r));
   }
 
-  // --- frame_codec_batch: batch API + SIMD vs the per-frame LUT plateau --
+  // --- frame_codec_batch: batch parse + SIMD vs one-lane LUT parses -----
   bench::Json batch_sweep = bench::Json::array();
   {
     WorkloadResult r{"frame_codec_batch", "frames", {}, {}, true, 0};
@@ -215,88 +208,64 @@ int main(int argc, char** argv) {
     const std::size_t reps = quick ? 4 : 40;
     const std::size_t batch_size = quick ? 8 : 32;
     const auto bframes = make_frames(batch_size, kPayloadBytes);
-    const phy::FrameCodec codec{depth};
 
-    // One independent batch pipeline per shard; `--threads N` runs the
-    // shards on a pool. Shard boundaries depend only on the lane count,
-    // and every shard owns its scratch, so the outputs are bit-identical
-    // at any thread count.
-    struct Shard {
-      std::vector<const phy::MacFrame*> ptrs;
-      phy::FrameBatch batch;
-      AlignedVector<phy::Chip> chips;
-      AlignedVector<std::uint8_t> back;
+    // One batch pipeline over all lanes, paper format: each lane is
+    // serialized and Manchester round-tripped into its own buffer, then
+    // every lane is parsed in one call.
+    struct Lanes {
+      std::vector<const phy::MacFrame*> frames;
+      std::vector<std::vector<std::uint8_t>> wire;
+      std::vector<std::vector<std::uint8_t>> back;
+      std::vector<phy::Chip> chips;
       std::vector<std::span<const std::uint8_t>> views;
       std::vector<phy::ParsedFrame> out;
+      std::vector<phy::ParsedFrame*> out_ptrs;
       std::vector<std::uint8_t> ok;
+      phy::FrameBatch batch;
       bool match = true;
     };
-    const auto run_shard = [&codec](Shard& s) {
-      phy::encode_frames_batch(codec, s.ptrs, s.batch);
-      std::size_t total_bytes = 0;
-      for (std::size_t i = 0; i < s.ptrs.size(); ++i) {
-        total_bytes += s.batch.lanes[i].len;
+    const auto run_lanes = [](Lanes& l) {
+      const std::size_t n = l.frames.size();
+      arena_resize(l.wire, n);
+      arena_resize(l.back, n);
+      arena_resize(l.views, n);
+      arena_resize(l.out, n);
+      arena_resize(l.out_ptrs, n);
+      arena_resize(l.ok, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        phy::serialize_frame_into(*l.frames[i], l.wire[i]);
+        arena_resize(l.chips, l.wire[i].size() * 16);
+        phy::manchester_encode_bytes(l.wire[i], l.chips);
+        arena_resize(l.back[i], l.wire[i].size());
+        phy::manchester_decode_bytes_lenient(l.chips, l.back[i]);
+        l.views[i] = l.back[i];
+        l.out_ptrs[i] = &l.out[i];
       }
-      arena_resize(s.chips, total_bytes * 16);
-      arena_resize(s.back, total_bytes);
-      arena_resize(s.views, s.ptrs.size());
-      std::size_t off = 0;
-      for (std::size_t i = 0; i < s.ptrs.size(); ++i) {
-        const auto wire = s.batch.lane_wire(i);
-        const std::span<phy::Chip> lane_chips{s.chips.data() + off * 16,
-                                              wire.size() * 16};
-        phy::manchester_encode_bytes(wire, lane_chips);
-        const std::span<std::uint8_t> lane_bytes{s.back.data() + off,
-                                                 wire.size()};
-        phy::manchester_decode_bytes_lenient(lane_chips, lane_bytes);
-        s.views[i] = lane_bytes;
-        off += wire.size();
+      if (phy::parse_frames_batch(l.views, l.out_ptrs, l.ok, l.batch) != n) {
+        l.match = false;
       }
-      arena_resize(s.out, s.ptrs.size());
-      arena_resize(s.ok, s.ptrs.size());
-      if (phy::decode_frames_batch(codec, s.views, s.out, s.ok, s.batch) !=
-          s.ptrs.size()) {
-        s.match = false;
-      }
-      for (std::size_t i = 0; i < s.ptrs.size(); ++i) {
-        if (s.out[i].frame.payload != s.ptrs[i]->payload) s.match = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (l.out[i].frame != *l.frames[i]) l.match = false;
       }
     };
 
-    std::vector<Shard> shards(threads);
-    for (std::size_t s = 0; s < threads; ++s) {
-      const std::size_t lo = s * batch_size / threads;
-      const std::size_t hi = (s + 1) * batch_size / threads;
-      for (std::size_t i = lo; i < hi; ++i) {
-        shards[s].ptrs.push_back(&bframes[i]);
+    Lanes lanes;
+    for (const auto& f : bframes) lanes.frames.push_back(&f);
+
+    // Correctness pass: wire bytes must equal the frozen scalar
+    // serializer, and every lane must parse back to its frame.
+    run_lanes(lanes);
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      if (lanes.wire[i] != bench::ref::serialize_frame(bframes[i])) {
+        r.identical = false;
       }
     }
+    r.identical = r.identical && lanes.match;
 
-    // Correctness pass: batch wire bytes and decodes must equal the
-    // per-frame fast path lane for lane.
-    {
-      phy::FrameCodec::Scratch cscr;
-      std::vector<std::uint8_t> wire;
-      for (auto& s : shards) {
-        // Compare wire bytes right after the encode: the decode half of
-        // run_shard reuses the FrameBatch staging and overwrites lanes.
-        phy::encode_frames_batch(codec, s.ptrs, s.batch);
-        for (std::size_t i = 0; i < s.ptrs.size(); ++i) {
-          codec.encode_into(*s.ptrs[i], wire, cscr);
-          const auto got = s.batch.lane_wire(i);
-          if (got.size() != wire.size() ||
-              !std::equal(got.begin(), got.end(), wire.begin())) {
-            r.identical = false;
-          }
-        }
-        run_shard(s);  // full pipeline, round-trip checked via s.match
-        r.identical = r.identical && s.match;
-      }
-    }
-
-    {  // LUT baseline: the per-frame path pinned onto the scalar kernels
+    {  // LUT baseline: one-lane parses pinned onto the scalar kernels
       simd::set_force_scalar(true);
       r.scalar.emplace();
+      const phy::FrameCodec codec{0};
       phy::FrameCodec::Scratch cscr;
       std::vector<std::uint8_t> wire;
       std::vector<phy::Chip> chips;
@@ -305,7 +274,7 @@ int main(int argc, char** argv) {
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         for (const auto& f : bframes) {
-          codec.encode_into(f, wire, cscr);
+          phy::serialize_frame_into(f, wire);
           arena_resize(chips, wire.size() * 16);
           phy::manchester_encode_bytes(wire, chips);
           arena_resize(bytes, chips.size() / 16);
@@ -318,38 +287,31 @@ int main(int argc, char** argv) {
       simd::set_force_scalar(false);
     }
 
-    {  // batch timing (shards already warm from the correctness pass)
-      std::optional<ThreadPool> pool;
-      if (threads > 1) pool.emplace(threads);
+    {  // batch timing (already warm from the correctness pass)
       const std::uint64_t allocs0 = bench::alloc_count();
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        if (pool) {
-          pool->run_chunks(shards.size(),
-                           [&](std::size_t c) { run_shard(shards[c]); });
-        } else {
-          for (auto& s : shards) run_shard(s);
-        }
+        run_lanes(lanes);
         r.fast.work_items += static_cast<double>(batch_size);
       }
       r.fast.wall_time_s = seconds_since(t0);
       r.steady_allocs = bench::alloc_count() - allocs0;
-      for (const auto& s : shards) r.identical = r.identical && s.match;
+      r.identical = r.identical && lanes.match;
     }
 
-    // Batch-size sweep (full mode, single shard): how the batch kernels
-    // fill up as lanes are added.
+    // Batch-size sweep (full mode): how the batch kernels fill up as
+    // lanes are added.
     if (!quick) {
-      std::cout << "frame_codec_batch sweep (1 thread):";
+      std::cout << "frame_codec_batch sweep:";
       for (const std::size_t n : {std::size_t{4}, std::size_t{8},
                                   std::size_t{16}, std::size_t{32}}) {
         const auto sweep_frames = make_frames(n, kPayloadBytes);
-        Shard s;
-        for (const auto& f : sweep_frames) s.ptrs.push_back(&f);
-        run_shard(s);  // warm-up
+        Lanes l;
+        for (const auto& f : sweep_frames) l.frames.push_back(&f);
+        run_lanes(l);  // warm-up
         const std::size_t sweep_reps = 20;
         const auto t0 = Clock::now();
-        for (std::size_t rep = 0; rep < sweep_reps; ++rep) run_shard(s);
+        for (std::size_t rep = 0; rep < sweep_reps; ++rep) run_lanes(l);
         const double dt = seconds_since(t0);
         const double rate =
             dt > 0.0 ? static_cast<double>(n * sweep_reps) / dt : 0.0;
@@ -358,6 +320,7 @@ int main(int argc, char** argv) {
         row.set("batch_size", n);
         row.set("frames_per_s", rate);
         batch_sweep.push(std::move(row));
+        r.identical = r.identical && l.match;
       }
       std::cout << "\n\n";
     }
@@ -389,10 +352,18 @@ int main(int argc, char** argv) {
     phy::RsDecodeResult dec;
     phy::RsScratch rscr;
 
+    // Systematic codeword: message ++ parity, parity straight into place.
+    const auto encode = [&rs, &cw](const std::vector<std::uint8_t>& msg) {
+      arena_resize(cw, msg.size() + rs.parity_symbols());
+      std::copy(msg.begin(), msg.end(), cw.begin());
+      rs.encode_parity_into(msg,
+                            std::span<std::uint8_t>{cw}.subspan(msg.size()));
+    };
+
     // Correctness pass.
     for (std::size_t i = 0; i < n_msgs; ++i) {
       auto ref_cw = ref_rs.encode(msgs[i]);
-      rs.encode_into(msgs[i], cw);
+      encode(msgs[i]);
       if (cw != ref_cw) r.identical = false;
       corrupt(ref_cw, i);
       bad = cw;
@@ -425,7 +396,7 @@ int main(int argc, char** argv) {
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         for (std::size_t i = 0; i < n_msgs; ++i) {
-          rs.encode_into(msgs[i], cw);
+          encode(msgs[i]);
           bad = cw;
           corrupt(bad, i);
           if (!rs.decode_into(bad, dec, rscr)) r.identical = false;
@@ -613,7 +584,6 @@ int main(int argc, char** argv) {
   doc.set("quick", quick);
   doc.set("payload_bytes", kPayloadBytes);
   doc.set("interleave_depth", depth);
-  doc.set("threads", threads);
   doc.set("simd_backend", std::string{simd::active_backend_name()});
   bench::Json workload_array = bench::Json::array();
 
@@ -688,7 +658,6 @@ int main(int argc, char** argv) {
             << "frame_codec speedup: " << fmt(headline_speedup, 2)
             << "x (target >= 3x)\n"
             << "frame_codec_batch speedup vs LUT: " << fmt(batch_speedup, 2)
-            << "x (target >= 2x, " << threads << " thread"
-            << (threads == 1 ? "" : "s") << ")\nwrote " << out_path << '\n';
+            << "x (target >= 2x)\nwrote " << out_path << '\n';
   return (all_identical && zero_alloc_ok) ? 0 : 1;
 }

@@ -83,9 +83,6 @@ class Rng {
     }
   }
 
-  /// Access to the raw engine for interop with standard algorithms.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::uint64_t seed_ = 0;
   std::mt19937_64 engine_;

@@ -67,7 +67,7 @@ class JointTransmission {
   /// serializer.
   double frame_airtime_s(const phy::MacFrame& frame) const;
 
-  // --- Batch transmission path (see phy/frame_batch.hpp) ----------------
+  // --- Batch transmission path ------------------------------------------
 
   /// One lane of transmit_batch: the arguments of one transmit() call.
   /// Referenced spans/frames must stay alive for the call.

@@ -376,7 +376,8 @@ RunReport DenseVlcSystem::run(double duration_s, std::size_t payload_bytes) {
           std::span<const std::uint8_t>{bytes}.subspan(at));
       if (!cf) break;
       slot.frames.push_back(*cf);
-      at += 9 + phy::serialized_frame_bytes(cf->frame.payload.size());
+      at += phy::kControllerPrefixBytes +
+            phy::serialized_frame_bytes(cf->frame.payload.size());
     }
     run_slot(slot);
   });

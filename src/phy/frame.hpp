@@ -12,6 +12,11 @@
 // everything from SFD onward is Manchester-coded bytes. The Ethernet
 // encapsulation from controller to TXs prepends an 8-byte TX-ID mask
 // selecting which transmitters must radiate the frame (Sec. 7.2).
+//
+// This header and frame.cpp are the only code that knows the layout: one
+// writer (serialize_frame_into), one reader (parse_frames_batch, of
+// which a single parse is a batch of one) and one header check
+// (read_frame_length, shared with the receiver's header peek).
 #pragma once
 
 #include <array>
@@ -20,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "phy/manchester.hpp"
 #include "phy/reed_solomon.hpp"
 
@@ -38,6 +44,14 @@ inline constexpr std::size_t kRsBlockParity = 16;
 
 /// Maximum payload accepted by the serializer (fits common MTUs).
 inline constexpr std::size_t kMaxPayload = 1500;
+
+/// Header bytes ahead of the payload: SFD (1) + length, dst, src and
+/// protocol (2 each, big-endian).
+inline constexpr std::size_t kHeaderBytes = 9;
+
+/// Bytes the controller -> TX encapsulation puts ahead of the frame: the
+/// 8-byte TX mask and the leading TX id.
+inline constexpr std::size_t kControllerPrefixBytes = 9;
 
 /// Protocol field values used by the MAC.
 enum class Protocol : std::uint16_t {
@@ -65,16 +79,30 @@ std::span<const Chip> pilot_pattern();
 /// The fixed preamble chip pattern used for frame alignment at data RXs.
 std::span<const Chip> preamble_pattern();
 
-/// Serialized byte count for a given payload size: header (SFD + length +
-/// dst + src + protocol = 9 bytes) + payload + RS parity.
+/// Number of Reed-Solomon blocks covering a payload: ceil(x / 200).
+inline constexpr std::size_t rs_block_count(std::size_t payload_bytes) {
+  return (payload_bytes + kRsBlockData - 1) / kRsBlockData;
+}
+
+/// Serialized byte count for a given payload size: header + payload +
+/// RS parity.
 std::size_t serialized_frame_bytes(std::size_t payload_bytes);
 
-/// The shared RS(.., 16-parity) codec instance the frame layer encodes
-/// and decodes blocks with (exposed for the batch codec in frame_batch).
-const ReedSolomon& frame_rs_codec();
+/// The one header check: the payload length declared by `bytes`, or
+/// nullopt when they hold fewer than kHeaderBytes, do not start with
+/// kSfd, or declare more than kMaxPayload bytes. Only the header is
+/// read; the caller checks the frame's full extent against
+/// serialized_frame_bytes.
+[[nodiscard]] std::optional<std::uint16_t> read_frame_length(
+    std::span<const std::uint8_t> bytes);
 
-/// Serializes SFD..parity. Throws std::invalid_argument when the payload
-/// exceeds kMaxPayload.
+/// Serializes SFD..parity into a reused buffer. RS parity is computed
+/// straight into the output tail. Throws std::invalid_argument when the
+/// payload exceeds kMaxPayload.
+void serialize_frame_into(const MacFrame& frame,
+                          std::vector<std::uint8_t>& out);
+
+/// serialize_frame_into into a fresh buffer.
 std::vector<std::uint8_t> serialize_frame(const MacFrame& frame);
 
 /// Result of parsing a received byte stream back into a frame.
@@ -83,36 +111,42 @@ struct ParsedFrame {
   std::size_t corrected_bytes = 0;  ///< RS corrections applied
 };
 
-/// Parses bytes produced by serialize_frame (possibly corrupted). Returns
-/// nullopt when the SFD is wrong, the length field is implausible, or any
-/// RS block fails to decode.
-[[nodiscard]] std::optional<ParsedFrame> parse_frame(std::span<const std::uint8_t> bytes);
+/// Reusable struct-of-arrays workspace for parse_frames_batch: every RS
+/// block of every lane staged contiguously for the batch syndrome
+/// screen, plus the scalar decoder's buffers for blocks that carry
+/// errors. One per receive chain, reused across epochs.
+struct FrameBatch {
+  std::vector<std::size_t> lane_first_block;  ///< per-lane block range
+  AlignedVector<std::uint8_t> codewords;      ///< staged data ++ parity
+  std::vector<std::span<const std::uint8_t>> block_views;
+  std::vector<std::uint8_t> block_clean;      ///< syndrome screen out
+  RsBatchScratch rs;
+  RsDecodeResult block;                       ///< dirty-block decode
+  RsScratch rs_decode;
+};
+
+/// The parser: out[i] receives the parse of wires[i] (paper format, not
+/// interleaved), ok[i] = 1 on success. A lane fails when its header is
+/// rejected by read_frame_length, its bytes are shorter than the frame
+/// they declare, or any RS block fails to decode; out[i] of a failed
+/// lane must not be read. Every RS block of every lane goes through one
+/// batch syndrome screen, and only blocks that carry errors run the
+/// scalar decoder. A single frame is a batch of one. Returns the number
+/// of parsed lanes; zero heap allocations once `batch` is warm.
+std::size_t parse_frames_batch(
+    std::span<const std::span<const std::uint8_t>> wires,
+    std::span<ParsedFrame* const> out, std::span<std::uint8_t> ok,
+    FrameBatch& batch);
+
+/// A one-lane parse_frames_batch into a fresh result; nullopt when the
+/// lane fails.
+[[nodiscard]] std::optional<ParsedFrame> parse_frame(
+    std::span<const std::uint8_t> bytes);
 
 /// Full on-air chip sequence for a frame: preamble chips followed by the
 /// Manchester coding of the serialized bytes. (The pilot is prepended
 /// separately by the leading TX only.)
 std::vector<Chip> frame_to_chips(const MacFrame& frame);
-
-// --- Zero-allocation overloads (see common/arena.hpp) -------------------
-
-/// Reusable workspace for parse_frame_into: codeword staging plus the
-/// Reed-Solomon decoder buffers. Keep one per receive chain.
-struct FrameScratch {
-  std::vector<std::uint8_t> codeword;
-  RsDecodeResult block;
-  RsScratch rs;
-};
-
-/// serialize_frame into a reused buffer. RS parity is computed straight
-/// into the output tail (no staging codeword). Throws like
-/// serialize_frame on over-long payloads.
-void serialize_frame_into(const MacFrame& frame,
-                          std::vector<std::uint8_t>& out);
-
-/// parse_frame into a reused result; false replaces nullopt. On failure
-/// `out` is left partially filled and must not be read.
-[[nodiscard]] bool parse_frame_into(std::span<const std::uint8_t> bytes,
-                                    ParsedFrame& out, FrameScratch& scratch);
 
 /// Controller -> TX Ethernet encapsulation (Sec. 7.2): 64-bit mask of TX
 /// ids that must transmit, the appointed leading TX, and the MAC frame.

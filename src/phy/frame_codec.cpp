@@ -7,23 +7,22 @@
 #include "phy/interleaver.hpp"
 
 namespace densevlc::phy {
-namespace {
-
-constexpr std::size_t kHeaderBytes = 9;
-
-}  // namespace
 
 void FrameCodec::encode_into(const MacFrame& frame,
                              std::vector<std::uint8_t>& out,
                              Scratch& scratch) const {
-  serialize_frame_into(frame, out);
-  if (depth_ <= 1 || out.size() <= kHeaderBytes) return;
-  // Stage the clear body, then interleave it back into place.
-  arena_resize(scratch.body, out.size() - kHeaderBytes);
-  std::copy(out.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes),
-            out.end(), scratch.body.begin());
-  interleave_into(scratch.body, depth_,
-                  std::span<std::uint8_t>{out}.subspan(kHeaderBytes));
+  if (depth_ <= 1) {
+    serialize_frame_into(frame, out);
+    return;
+  }
+  // Serialize into staging, then copy the clear header and interleave
+  // the body into place.
+  serialize_frame_into(frame, scratch.wire);
+  arena_resize(out, scratch.wire.size());
+  std::copy_n(scratch.wire.begin(), kHeaderBytes, out.begin());
+  interleave_into(std::span<const std::uint8_t>{scratch.wire}.subspan(
+                      kHeaderBytes),
+                  depth_, std::span<std::uint8_t>{out}.subspan(kHeaderBytes));
 }
 
 std::vector<std::uint8_t> FrameCodec::encode(const MacFrame& frame) const {
@@ -35,17 +34,19 @@ std::vector<std::uint8_t> FrameCodec::encode(const MacFrame& frame) const {
 
 bool FrameCodec::decode_into(std::span<const std::uint8_t> bytes,
                              ParsedFrame& out, Scratch& scratch) const {
-  if (depth_ <= 1 || bytes.size() <= kHeaderBytes) {
-    return parse_frame_into(bytes, out, scratch.frame);
+  std::span<const std::uint8_t> wire = bytes;
+  if (depth_ > 1 && bytes.size() > kHeaderBytes) {
+    arena_resize(scratch.wire, bytes.size());
+    std::copy_n(bytes.begin(), kHeaderBytes, scratch.wire.begin());
+    deinterleave_into(
+        bytes.subspan(kHeaderBytes), depth_,
+        std::span<std::uint8_t>{scratch.wire}.subspan(kHeaderBytes));
+    wire = scratch.wire;
   }
-  arena_resize(scratch.wire, bytes.size());
-  std::copy(bytes.begin(), bytes.end(), scratch.wire.begin());
-  arena_resize(scratch.body, bytes.size() - kHeaderBytes);
-  std::copy(bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes),
-            bytes.end(), scratch.body.begin());
-  deinterleave_into(scratch.body, depth_,
-                    std::span<std::uint8_t>{scratch.wire}.subspan(kHeaderBytes));
-  return parse_frame_into(scratch.wire, out, scratch.frame);
+  ParsedFrame* const outs[] = {&out};
+  std::uint8_t ok[1] = {0};
+  parse_frames_batch({&wire, 1}, outs, ok, scratch.batch);
+  return ok[0] != 0;
 }
 
 std::optional<ParsedFrame> FrameCodec::decode(
@@ -57,8 +58,7 @@ std::optional<ParsedFrame> FrameCodec::decode(
 }
 
 std::size_t FrameCodec::matched_depth(std::size_t payload_bytes) {
-  const std::size_t blocks =
-      (payload_bytes + kRsBlockData - 1) / kRsBlockData;
+  const std::size_t blocks = rs_block_count(payload_bytes);
   return blocks <= 1 ? 1 : blocks;
 }
 

@@ -1,10 +1,11 @@
 // FrameCodec: the Table 3 serializer with optional burst protection.
 //
-// Composes serialize_frame/parse_frame with the block interleaver: the
-// 9-byte header (SFD, length, dst, src, protocol) stays in the clear —
-// receivers must read the length before they can deinterleave — while
-// payload + parity are interleaved at a configurable depth. Depth 0/1
-// reproduces the paper's exact wire format byte for byte.
+// Composes serialize_frame_into and a one-lane parse_frames_batch with
+// the block interleaver: the kHeaderBytes header (SFD, length, dst, src,
+// protocol) stays in the clear — receivers must read the length before
+// they can deinterleave — while payload + parity are interleaved at a
+// configurable depth. Depth 0/1 reproduces the paper's exact wire format
+// byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +34,12 @@ class FrameCodec {
   std::optional<ParsedFrame> decode(
       std::span<const std::uint8_t> bytes) const;
 
-  /// Reusable workspace for the zero-allocation overloads below: wire and
-  /// body staging plus the frame/RS scratch (see common/arena.hpp).
+  /// Reusable workspace for the zero-allocation overloads below:
+  /// (de)interleave staging plus the parser's batch scratch (see
+  /// common/arena.hpp).
   struct Scratch {
     std::vector<std::uint8_t> wire;
-    std::vector<std::uint8_t> body;
-    FrameScratch frame;
+    FrameBatch batch;
   };
 
   /// encode() into a reused buffer. Bit-identical wire bytes.

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "common/arena.hpp"
 #include "common/contracts.hpp"
@@ -154,16 +155,13 @@ std::size_t OokDemodulator::receive_batch_into(
         static_cast<double>(peak->index) +
         static_cast<double>(kPreambleChips) * spc;
 
-    constexpr std::size_t kHeaderBytes = 9;
     slice_chips_into(signal, data_start, kHeaderBytes * 16, scratch.chips);
     std::array<std::uint8_t, kHeaderBytes> head_bytes{};
     manchester_decode_bytes_lenient(scratch.chips, head_bytes);
-    if (head_bytes[0] != kSfd) continue;
-    const std::uint16_t length = static_cast<std::uint16_t>(
-        (head_bytes[1] << 8) | head_bytes[2]);
-    if (length > kMaxPayload) continue;
+    const std::optional<std::uint16_t> length = read_frame_length(head_bytes);
+    if (!length) continue;
 
-    const std::size_t total_bytes = serialized_frame_bytes(length);
+    const std::size_t total_bytes = serialized_frame_bytes(*length);
     slice_chips_into(signal, data_start, total_bytes * 16, scratch.chips);
     std::vector<std::uint8_t>& bytes = scratch.lane_bytes[k];
     arena_resize(bytes, total_bytes);

@@ -15,7 +15,6 @@
 #include "dsp/correlate.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
 #include "phy/manchester.hpp"
 
 namespace densevlc::phy {
@@ -103,8 +102,8 @@ class OokDemodulator {
 
   /// Receive workspace: the per-lane front half (template, correlation,
   /// chip slicing) shares one set of buffers; decoded wire bytes are kept
-  /// per lane so every surviving lane's parse runs through the batch
-  /// Reed-Solomon path at once (see phy/frame_batch.hpp). Reuse it across
+  /// per lane so every surviving lane's parse runs through one
+  /// parse_frames_batch call (see phy/frame.hpp). Reuse it across
   /// calls; zero allocations once warm (see common/arena.hpp).
   struct BatchRxScratch {
     std::vector<double> preamble_tpl;

@@ -170,42 +170,6 @@ inline typename B::u8v gf_mul_vec(const typename B::tbl16& lo,
   return B::xor_(B::lookup(lo, B::and_(x, nib)), B::lookup(hi, B::srl4(x)));
 }
 
-/// RS systematic-encoder LFSR advanced over `width` codewords at once.
-/// Column-major staging: msg_cols[r * width + l] is byte r of codeword l;
-/// parity_cols[i * width + l] receives parity symbol i of codeword l.
-/// `width` must be a multiple of B::kU8Lanes; taps[i] are the nibble
-/// tables of generator coefficient i+1 (matching ReedSolomon's
-/// encode_rows_). Per column this is exactly encode_parity_into's
-/// recurrence in the byte domain.
-template <class B>
-void rs_parity_cols_kernel(const std::uint8_t* msg_cols, std::size_t msg_len,
-                           const gf256::NibbleTables* taps, std::size_t np,
-                           std::uint8_t* parity_cols, std::size_t width) {
-  using V = typename B::u8v;
-  using T = typename B::tbl16;
-  constexpr std::size_t kLanes = B::kU8Lanes;
-  T lo[kMaxRsParity], hi[kMaxRsParity];
-  for (std::size_t i = 0; i < np; ++i) {
-    lo[i] = B::load_table(taps[i].lo.data());
-    hi[i] = B::load_table(taps[i].hi.data());
-  }
-  const V nib = B::broadcast(0x0F);
-  for (std::size_t c = 0; c < width; c += kLanes) {
-    V par[kMaxRsParity];
-    for (std::size_t i = 0; i < np; ++i) par[i] = B::broadcast(0);
-    for (std::size_t r = 0; r < msg_len; ++r) {
-      const V fb = B::xor_(B::loadu(msg_cols + r * width + c), par[0]);
-      for (std::size_t i = 0; i + 1 < np; ++i) {
-        par[i] = B::xor_(par[i + 1], gf_mul_vec<B>(lo[i], hi[i], fb, nib));
-      }
-      par[np - 1] = gf_mul_vec<B>(lo[np - 1], hi[np - 1], fb, nib);
-    }
-    for (std::size_t i = 0; i < np; ++i) {
-      B::storeu(parity_cols + i * width + c, par[i]);
-    }
-  }
-}
-
 /// RS syndromes over `width` codewords at once (Horner over each column
 /// for every root). roots[i] are the nibble tables of alpha^i, matching
 /// ReedSolomon's syndrome_rows_. synd_cols[i * width + l] receives
@@ -245,9 +209,6 @@ void manchester_encode_bytes_vec(const std::uint8_t* bytes,
 std::size_t manchester_decode_bytes_vec(const std::uint8_t* chips,
                                         std::size_t n_bytes,
                                         std::uint8_t* out_bytes);
-void rs_parity_cols_vec(const std::uint8_t* msg_cols, std::size_t msg_len,
-                        const gf256::NibbleTables* taps, std::size_t np,
-                        std::uint8_t* parity_cols, std::size_t width);
 void rs_syndrome_cols_vec(const std::uint8_t* cw_cols, std::size_t cw_len,
                           const gf256::NibbleTables* roots, std::size_t np,
                           std::uint8_t* synd_cols, std::size_t width);

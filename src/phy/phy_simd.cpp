@@ -23,13 +23,6 @@ std::size_t manchester_decode_bytes_vec(const std::uint8_t* chips,
                                                              out_bytes);
 }
 
-void rs_parity_cols_vec(const std::uint8_t* msg_cols, std::size_t msg_len,
-                        const gf256::NibbleTables* taps, std::size_t np,
-                        std::uint8_t* parity_cols, std::size_t width) {
-  rs_parity_cols_kernel<simd::VectorBackend>(msg_cols, msg_len, taps, np,
-                                             parity_cols, width);
-}
-
 void rs_syndrome_cols_vec(const std::uint8_t* cw_cols, std::size_t cw_len,
                           const gf256::NibbleTables* roots, std::size_t np,
                           std::uint8_t* synd_cols, std::size_t width) {

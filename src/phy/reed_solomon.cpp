@@ -74,15 +74,12 @@ ReedSolomon::ReedSolomon(std::size_t parity_symbols)
               "RS generator polynomial must be monic of degree 2t");
   encode_rows_.reserve(n_parity_);
   syndrome_rows_.reserve(n_parity_);
-  encode_ntabs_.reserve(n_parity_);
   syndrome_ntabs_.reserve(n_parity_);
   for (std::size_t i = 0; i < n_parity_; ++i) {
     // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
     encode_rows_.push_back(gf::mul_row(generator_[i + 1]));
     // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
     syndrome_rows_.push_back(gf::mul_row(gf::pow_alpha(static_cast<int>(i))));
-    // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
-    encode_ntabs_.push_back(gf::nibble_tables(generator_[i + 1]));
     // DVLC_LINT_WAIVE(hot-loop-alloc): one-time construction, reserved above
     syndrome_ntabs_.push_back(
         gf::nibble_tables(gf::pow_alpha(static_cast<int>(i))));
@@ -107,24 +104,6 @@ void ReedSolomon::encode_parity_into(std::span<const std::uint8_t> message,
     }
     parity[n_parity_ - 1] = encode_rows_[n_parity_ - 1][feedback];
   }
-}
-
-void ReedSolomon::encode_into(std::span<const std::uint8_t> message,
-                              std::vector<std::uint8_t>& out) const {
-  if (message.size() + n_parity_ > 255) {
-    throw std::invalid_argument{"ReedSolomon: message too long for GF(256)"};
-  }
-  arena_resize(out, message.size() + n_parity_);
-  std::copy(message.begin(), message.end(), out.begin());
-  encode_parity_into(
-      message, std::span<std::uint8_t>{out}.subspan(message.size()));
-}
-
-std::vector<std::uint8_t> ReedSolomon::encode(
-    std::span<const std::uint8_t> message) const {
-  std::vector<std::uint8_t> codeword;
-  encode_into(message, codeword);
-  return codeword;
 }
 
 bool ReedSolomon::decode_into(std::span<const std::uint8_t> codeword,
@@ -282,67 +261,6 @@ bool ReedSolomon::decode_into(std::span<const std::uint8_t> codeword,
   std::copy_n(scr.corrected.begin(), k, out.data.begin());
   out.corrected_errors = n_found;
   return true;
-}
-
-std::optional<RsDecodeResult> ReedSolomon::decode(
-    std::span<const std::uint8_t> codeword) const {
-  RsScratch scratch;
-  RsDecodeResult out;
-  if (!decode_into(codeword, out, scratch)) return std::nullopt;
-  return out;
-}
-
-void ReedSolomon::encode_parity_batch(std::span<const RsParityJob> jobs,
-                                      RsBatchScratch& scr) const {
-  const bool kernel_ok = n_parity_ <= detail::kMaxRsParity;
-  std::array<std::uint32_t, 257> starts{};
-  group_by_length(
-      jobs.size(), [&](std::size_t i) { return jobs[i].message.size(); },
-      [&](std::size_t i) {
-        DVLC_EXPECT(jobs[i].message.size() + n_parity_ <= 255,
-                    "encode_parity_batch: message too long for GF(256)");
-        DVLC_EXPECT(jobs[i].parity.size() == n_parity_,
-                    "encode_parity_batch: parity span size mismatch");
-        return true;
-      },
-      scr.order, starts);
-  for (std::size_t len = 0; len < 256; ++len) {
-    const std::size_t g0 = starts[len];
-    const std::size_t g1 = starts[len + 1];
-    const std::size_t lanes = g1 - g0;
-    if (lanes == 0) continue;
-    if (!kernel_ok || lanes < kMinBatchWidth) {
-      for (std::size_t s = g0; s < g1; ++s) {
-        const RsParityJob& job = jobs[scr.order[s]];
-        encode_parity_into(job.message, job.parity);
-      }
-      continue;
-    }
-    const std::size_t width = round_up(lanes, kBatchWidthAlign);
-    arena_resize(scr.cols, len * width);
-    arena_resize(scr.out_cols, n_parity_ * width);
-    std::fill(scr.cols.begin(), scr.cols.end(), 0);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::span<const std::uint8_t> msg = jobs[scr.order[g0 + l]].message;
-      for (std::size_t r = 0; r < len; ++r) {
-        scr.cols[r * width + l] = msg[r];
-      }
-    }
-    if (simd::use_vector_kernels()) {
-      detail::rs_parity_cols_vec(scr.cols.data(), len, encode_ntabs_.data(),
-                                 n_parity_, scr.out_cols.data(), width);
-    } else {
-      detail::rs_parity_cols_kernel<simd::ScalarBackend>(
-          scr.cols.data(), len, encode_ntabs_.data(), n_parity_,
-          scr.out_cols.data(), width);
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::span<std::uint8_t> parity = jobs[scr.order[g0 + l]].parity;
-      for (std::size_t i = 0; i < n_parity_; ++i) {
-        parity[i] = scr.out_cols[i * width + l];
-      }
-    }
-  }
 }
 
 void ReedSolomon::syndrome_screen_batch(

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,20 +43,14 @@ struct RsScratch {
   std::array<std::uint8_t, 255> corrected{};
 };
 
-/// One batch-encode work item: read `message`, write parity_symbols()
-/// bytes to `parity`. The spans must not alias each other.
-struct RsParityJob {
-  std::span<const std::uint8_t> message;
-  std::span<std::uint8_t> parity;
-};
-
-/// Reusable workspace for the batch column kernels (see common/arena.hpp):
-/// column-major codeword staging plus the length-grouped job order. The
-/// staging buffers are 32-byte aligned for the SIMD loads.
+/// Reusable workspace for the batch syndrome screen (see
+/// common/arena.hpp): column-major codeword staging plus the
+/// length-grouped codeword order. The staging buffers are 32-byte
+/// aligned for the SIMD loads.
 struct RsBatchScratch {
   AlignedVector<std::uint8_t> cols;      ///< input bytes, column-major
-  AlignedVector<std::uint8_t> out_cols;  ///< parity/syndromes, column-major
-  std::vector<std::uint32_t> order;      ///< job indices grouped by length
+  AlignedVector<std::uint8_t> out_cols;  ///< syndromes, column-major
+  std::vector<std::uint32_t> order;      ///< codewords grouped by length
 };
 
 /// A Reed-Solomon code with a fixed number of parity symbols.
@@ -77,46 +70,24 @@ class ReedSolomon {
   /// Maximum number of correctable byte errors per codeword.
   std::size_t correction_capacity() const { return n_parity_ / 2; }
 
-  /// Encodes a message of up to 255 - parity_symbols() bytes. Returns
-  /// message followed by parity (systematic). Throws std::invalid_argument
-  /// on over-long messages.
-  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> message) const;
-
-  /// Decodes a codeword (message + parity). Returns the corrected message
-  /// or nullopt when more than correction_capacity() errors corrupted the
-  /// word (decode failure).
-  std::optional<RsDecodeResult> decode(
-      std::span<const std::uint8_t> codeword) const;
-
-  // --- Zero-allocation overloads (see common/arena.hpp) -----------------
-
-  /// Writes just the parity bytes of `message` into `parity`, whose size
-  /// must equal parity_symbols(). The LFSR division runs off per-tap
-  /// GF(256) row tables; no allocation, no throw (contract-checks the
-  /// sizes instead). `parity` must not alias `message`.
+  /// Writes the parity bytes of `message` (at most 255 -
+  /// parity_symbols() bytes) into `parity`, whose size must equal
+  /// parity_symbols(): the systematic codeword is message ++ parity. The
+  /// LFSR division runs off per-tap GF(256) row tables; no allocation,
+  /// no throw (contract-checks the sizes instead). `parity` must not
+  /// alias `message`.
   void encode_parity_into(std::span<const std::uint8_t> message,
                           std::span<std::uint8_t> parity) const;
 
-  /// encode() into a reused buffer (message followed by parity). Throws
-  /// like encode() on over-long messages. `out` must not alias `message`.
-  void encode_into(std::span<const std::uint8_t> message,
-                   std::vector<std::uint8_t>& out) const;
-
-  /// decode() into a reused result + fixed workspace; false replaces
-  /// nullopt. Bit-identical outcomes to decode(), which now wraps this.
+  /// Decodes a codeword (message + parity) into a reused result and a
+  /// fixed workspace. Returns false when the codeword is shorter than
+  /// parity_symbols() + 1 or longer than 255 bytes, or when more than
+  /// correction_capacity() errors corrupted it (decode failure).
   [[nodiscard]] bool decode_into(std::span<const std::uint8_t> codeword,
                                  RsDecodeResult& out,
                                  RsScratch& scratch) const;
 
-  // --- Batch column APIs (SIMD across codewords; see phy_kernels.hpp) ---
-
-  /// Computes parity for many messages in one call by staging
-  /// equal-length groups column-major and running the encoder LFSR over
-  /// all lanes at once. Bit-identical per job to encode_parity_into
-  /// (which small groups fall back to). Zero allocations once `scratch`
-  /// has warmed up.
-  void encode_parity_batch(std::span<const RsParityJob> jobs,
-                           RsBatchScratch& scratch) const;
+  // --- Batch column API (SIMD across codewords; see phy_kernels.hpp) ----
 
   /// Batch syndrome screen: clean[i] = 1 iff codewords[i] is a valid
   /// codeword with every syndrome zero (the error-free fast path of
@@ -136,9 +107,8 @@ class ReedSolomon {
   // alpha^i (Horner step of syndrome i).
   std::vector<gf256::MulRow> encode_rows_;
   std::vector<gf256::MulRow> syndrome_rows_;
-  // Split-nibble variants of the same constants for the SIMD column
-  // kernels (see gf256::NibbleTables).
-  std::vector<gf256::NibbleTables> encode_ntabs_;
+  // Split-nibble variant of the syndrome constants for the SIMD column
+  // kernel (see gf256::NibbleTables).
   std::vector<gf256::NibbleTables> syndrome_ntabs_;
 };
 

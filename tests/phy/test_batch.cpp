@@ -1,17 +1,18 @@
 // Suite for the batch-of-frames PHY path.
 //
-// The batch codec is held bit-for-bit against the per-frame FrameCodec,
-// the front-end quad processing against sequential process_into calls,
-// and JointTransmission::transmit_batch against one-job calls (same
-// outcomes, same Rng stream). The receiver has no per-frame twin: each
-// lane is checked against the frame that was sent, with one lane per
-// reject path. Like test_fastpath, the whole suite is parameterized over
-// the SIMD dispatch so both backends are pinned to the same results.
+// The batch parser is held lane for lane against the frozen scalar
+// parser in bench/phy_reference, the front-end quad processing against
+// sequential process_into calls, and JointTransmission::transmit_batch
+// against one-job calls (same outcomes, same Rng stream). The receiver
+// has no per-frame twin: each lane is checked against the frame that was
+// sent, with one lane per reject path. Like test_fastpath, the whole
+// suite is parameterized over the SIMD dispatch so both backends are
+// pinned to the same results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -22,10 +23,9 @@
 #include "core/testbed.hpp"
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
-#include "phy/frame_batch.hpp"
-#include "phy/frame_codec.hpp"
 #include "phy/frontend.hpp"
 #include "phy/ook.hpp"
+#include "phy_reference.hpp"
 
 namespace densevlc {
 namespace {
@@ -59,117 +59,85 @@ phy::MacFrame make_frame(std::size_t payload, Rng& rng) {
 // RS block, exactly one data block (239), several blocks, and kMaxPayload.
 const std::size_t kPayloads[] = {0, 1, 60, 239, 240, 700, 1500};
 
-std::vector<phy::MacFrame> make_frames(Rng& rng) {
-  std::vector<phy::MacFrame> frames;
-  for (const std::size_t p : kPayloads) frames.push_back(make_frame(p, rng));
-  return frames;
-}
-
-std::vector<const phy::MacFrame*> frame_ptrs(
-    const std::vector<phy::MacFrame>& frames) {
-  std::vector<const phy::MacFrame*> ptrs;
-  for (const auto& f : frames) ptrs.push_back(&f);
-  return ptrs;
-}
-
-// --- Batch codec ---------------------------------------------------------
-
-TEST_P(Batch, SerializeFramesMatchesScalar) {
-  // Depth 0 is the paper's wire format: serialize_frame byte for byte.
-  Rng rng{0xB0};
-  const auto frames = make_frames(rng);
-  const auto ptrs = frame_ptrs(frames);
-  const phy::FrameCodec codec{0};
-  phy::FrameBatch batch;
-  phy::encode_frames_batch(codec, ptrs, batch);
-  ASSERT_EQ(batch.lanes.size(), frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto expect = phy::serialize_frame(frames[i]);
-    const auto got = batch.lane_wire(i);
-    ASSERT_EQ(got.size(), expect.size()) << "lane " << i;
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
-        << "lane " << i;
-  }
-
-  phy::MacFrame overlong;
-  overlong.payload.resize(phy::kMaxPayload + 1);
-  const phy::MacFrame* bad[] = {&overlong};
-  EXPECT_THROW(phy::encode_frames_batch(codec, bad, batch),
-               std::invalid_argument);
-}
-
-TEST_P(Batch, EncodeFramesMatchesScalarAcrossDepths) {
-  Rng rng{0xB1};
-  const auto frames = make_frames(rng);
-  const auto ptrs = frame_ptrs(frames);
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{4}}) {
-    const phy::FrameCodec codec{depth};
-    phy::FrameBatch batch;
-    phy::encode_frames_batch(codec, ptrs, batch);
-    phy::FrameCodec::Scratch cscr;
-    std::vector<std::uint8_t> expect;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      codec.encode_into(frames[i], expect, cscr);
-      const auto got = batch.lane_wire(i);
-      ASSERT_EQ(got.size(), expect.size()) << "depth " << depth << " lane " << i;
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()))
-          << "depth " << depth << " lane " << i;
-    }
-  }
-}
+// --- Batch parser ----------------------------------------------------------
 
 TEST_P(Batch, DecodeFramesMatchesScalarIncludingCorruptLanes) {
   Rng rng{0xB2};
-  const auto frames = make_frames(rng);
-  const auto ptrs = frame_ptrs(frames);
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{4}}) {
-    const phy::FrameCodec codec{depth};
-    phy::FrameBatch batch;
-    phy::encode_frames_batch(codec, ptrs, batch);
-
-    // Copy the wires out and corrupt a spread of lanes: correctable
-    // single-byte hits, an error burst past the RS capacity, and a
-    // trashed header. Lanes 0 and 3 stay clean.
-    std::vector<std::vector<std::uint8_t>> wires;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const auto w = batch.lane_wire(i);
-      wires.emplace_back(w.begin(), w.end());
-    }
-    wires[1][wires[1].size() / 2] ^= 0x5A;  // one correctable byte
-    for (std::size_t j = 0; j < 40 && j < wires[2].size(); ++j) {
-      wires[2][j + wires[2].size() / 3] ^= 0xFF;  // burst: uncorrectable
-    }
-    wires[4][0] ^= 0xFF;                          // SFD destroyed
-    wires[5][5] ^= 0x01;
-    wires[5][wires[5].size() - 1] ^= 0x80;        // two scattered hits
-
-    std::vector<std::span<const std::uint8_t>> views;
-    for (const auto& w : wires) views.emplace_back(w);
-    std::vector<phy::ParsedFrame> out(wires.size());
-    std::vector<std::uint8_t> ok(wires.size(), 0xEE);
-    const std::size_t decoded =
-        phy::decode_frames_batch(codec, views, out, ok, batch);
-
-    phy::FrameCodec::Scratch cscr;
-    phy::ParsedFrame expect;
-    std::size_t expected_decoded = 0;
-    bool saw_ok = false;
-    bool saw_fail = false;
-    for (std::size_t i = 0; i < wires.size(); ++i) {
-      const bool scalar_ok = codec.decode_into(views[i], expect, cscr);
-      ASSERT_EQ(ok[i] != 0, scalar_ok) << "depth " << depth << " lane " << i;
-      (scalar_ok ? saw_ok : saw_fail) = true;
-      if (scalar_ok) {
-        ++expected_decoded;
-        EXPECT_EQ(out[i].frame, expect.frame) << "lane " << i;
-        EXPECT_EQ(out[i].corrected_bytes, expect.corrected_bytes)
-            << "lane " << i;
-      }
-    }
-    EXPECT_EQ(decoded, expected_decoded);
-    EXPECT_TRUE(saw_ok);    // the fixture must exercise both outcomes
-    EXPECT_TRUE(saw_fail);
+  std::vector<phy::MacFrame> frames;
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (const std::size_t p : kPayloads) {
+    frames.push_back(make_frame(p, rng));
+    wires.push_back(phy::serialize_frame(frames.back()));
   }
+
+  // Corrupt a spread of lanes: correctable single-byte hits, an error
+  // burst past the RS capacity, and a trashed header. Lanes 0, 3 and 6
+  // stay clean.
+  wires[1][wires[1].size() / 2] ^= 0x5A;  // one correctable byte
+  for (std::size_t j = 0; j < 40 && j < wires[2].size(); ++j) {
+    wires[2][j + wires[2].size() / 3] ^= 0xFF;  // burst: uncorrectable
+  }
+  wires[4][0] ^= 0xFF;                          // SFD destroyed
+  wires[5][5] ^= 0x01;
+  wires[5][wires[5].size() - 1] ^= 0x80;        // two scattered hits
+
+  // One lane per remaining reject branch of the header check and the
+  // extent check. The first is a well-formed frame of kMaxPayload + 1
+  // bytes (valid RS parity for every block), so only the length limit
+  // rejects it; then a lane cut inside its length field and a lane cut
+  // inside its parity.
+  const std::size_t over = phy::kMaxPayload + 1;
+  const auto body = make_frame(over, rng).payload;
+  std::vector<std::uint8_t> too_long = {
+      phy::kSfd, static_cast<std::uint8_t>(over >> 8),
+      static_cast<std::uint8_t>(over & 0xFF), 0, 0, 0, 0, 0, 0};
+  too_long.insert(too_long.end(), body.begin(), body.end());
+  const bench::ref::ReedSolomon rs{phy::kRsBlockParity};
+  for (std::size_t off = 0; off < over; off += phy::kRsBlockData) {
+    const auto cw = rs.encode(std::span<const std::uint8_t>{body}.subspan(
+        off, std::min(phy::kRsBlockData, over - off)));
+    too_long.insert(too_long.end(),
+                    cw.end() - static_cast<std::ptrdiff_t>(phy::kRsBlockParity),
+                    cw.end());
+  }
+  ASSERT_EQ(too_long.size(), phy::serialized_frame_bytes(over));
+  wires.push_back(too_long);
+  auto header_cut = phy::serialize_frame(make_frame(40, rng));
+  header_cut.resize(2);
+  wires.push_back(header_cut);
+  auto body_cut = phy::serialize_frame(make_frame(40, rng));
+  body_cut.pop_back();
+  wires.push_back(body_cut);
+
+  const std::vector<std::uint8_t> expect_ok = {1, 1, 0, 1, 0, 1, 1,
+                                               0, 0, 0};
+  ASSERT_EQ(wires.size(), expect_ok.size());
+
+  std::vector<std::span<const std::uint8_t>> views;
+  for (const auto& w : wires) views.emplace_back(w);
+  std::vector<phy::ParsedFrame> out(wires.size());
+  std::vector<phy::ParsedFrame*> out_ptrs;
+  for (auto& o : out) out_ptrs.push_back(&o);
+  std::vector<std::uint8_t> ok(wires.size(), 0xEE);
+  phy::FrameBatch batch;
+  const std::size_t decoded =
+      phy::parse_frames_batch(views, out_ptrs, ok, batch);
+
+  std::size_t expected_decoded = 0;
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    const auto expect = bench::ref::parse_frame(views[i]);
+    ASSERT_EQ(ok[i] != 0, expect.has_value()) << "lane " << i;
+    EXPECT_EQ(ok[i], expect_ok[i]) << "lane " << i;
+    if (expect) {
+      ++expected_decoded;
+      EXPECT_EQ(out[i].frame, expect->frame) << "lane " << i;
+      EXPECT_EQ(out[i].corrected_bytes, expect->corrected_bytes)
+          << "lane " << i;
+    }
+  }
+  EXPECT_EQ(decoded, expected_decoded);
+  EXPECT_EQ(out[0].frame, frames[0]);  // a clean lane round-trips
+  EXPECT_EQ(out[5].corrected_bytes, 1u);
 }
 
 // --- Receiver ------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "phy/reed_solomon.hpp"
+#include "rs_codeword.hpp"
 
 namespace densevlc::phy {
 namespace {
@@ -88,7 +89,7 @@ TEST(Interleaver, RescuesRsFromBurst) {
       byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
     messages.push_back(msg);
-    const auto cw = rs.encode(msg);
+    const auto cw = rs_codeword(rs, msg);
     wire.insert(wire.end(), cw.begin(), cw.end());
   }
 
@@ -97,12 +98,14 @@ TEST(Interleaver, RescuesRsFromBurst) {
     return data;
   };
 
+  RsDecodeResult res;
+  RsScratch scratch;
   // Without interleaving: the burst sits inside codeword 1 and breaks it.
   {
     const auto hit = corrupt(wire);
     const auto cw1 = std::vector<std::uint8_t>(hit.begin() + 216,
                                                hit.begin() + 432);
-    EXPECT_FALSE(rs.decode(cw1).has_value());
+    EXPECT_FALSE(rs.decode_into(cw1, res, scratch));
   }
 
   // With matched-depth interleaving all four codewords decode.
@@ -112,9 +115,8 @@ TEST(Interleaver, RescuesRsFromBurst) {
       const auto cw = std::vector<std::uint8_t>(
           hit.begin() + static_cast<std::ptrdiff_t>(b * 216),
           hit.begin() + static_cast<std::ptrdiff_t>((b + 1) * 216));
-      const auto res = rs.decode(cw);
-      ASSERT_TRUE(res.has_value()) << "block " << b;
-      EXPECT_EQ(res->data, messages[b]);
+      ASSERT_TRUE(rs.decode_into(cw, res, scratch)) << "block " << b;
+      EXPECT_EQ(res.data, messages[b]);
     }
   }
 }
