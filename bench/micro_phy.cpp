@@ -16,7 +16,10 @@
 //                    reports scaling in full mode.
 //   rs_codec         RS(216, 200) encode + 4-error decode (bytes/s)
 //   manchester       byte round trip, bit loops vs 256-entry LUTs
-//   frontend_filter  TIA + AC + Butterworth + ADC chain (samples/s)
+//   frontend_filter  TIA + AC + Butterworth + ADC chain (samples/s):
+//                    four front-ends as four one-lane process_batch_into
+//                    calls (scalar cascades) vs one 4-lane call (the x4
+//                    biquad kernel), bit-compared lane by lane
 //   frame_wave       full modulate -> front-end -> demodulate chain
 //                    (a one-lane receive_batch_into), asserting zero
 //                    steady-state
@@ -485,37 +488,81 @@ int main(int argc, char** argv) {
     }
 
     const phy::FrontEndConfig cfg{};  // default noisy front end
-    // process() and process_into() from identically seeded front ends
-    // must agree bit for bit (same noise stream, same filter states).
+    constexpr std::size_t kLanes = 4;
+    // Identically seeded sets of four front-ends, so both sides draw the
+    // same noise per lane.
+    const auto make_fes = [&] {
+      Rng seeds{42};
+      std::vector<phy::ReceiverFrontEnd> fes;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        fes.emplace_back(cfg, seeds.fork());
+      }
+      return fes;
+    };
+    phy::ReceiverFrontEnd::BatchScratch scratch;
+    const auto run_lanes = [&](std::vector<phy::ReceiverFrontEnd>& fes,
+                               std::vector<dsp::Waveform>& out) {
+      for (std::size_t l = 0; l < kLanes; ++l) {  // a lone lane: scalar
+        phy::ReceiverFrontEnd* const fe[1] = {&fes[l]};
+        const dsp::Waveform* const in[1] = {&optical};
+        dsp::Waveform* const lane_out[1] = {&out[l]};
+        phy::ReceiverFrontEnd::process_batch_into(fe, in, lane_out, scratch);
+      }
+    };
+    const auto run_quad = [&](std::vector<phy::ReceiverFrontEnd>& fes,
+                              std::vector<dsp::Waveform>& out) {
+      phy::ReceiverFrontEnd* fe[kLanes];
+      const dsp::Waveform* in[kLanes];
+      dsp::Waveform* quad_out[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        fe[l] = &fes[l];
+        in[l] = &optical;
+        quad_out[l] = &out[l];
+      }
+      phy::ReceiverFrontEnd::process_batch_into(fe, in, quad_out, scratch);
+    };
+    // Every lane carries the same optical input, so the same sample count.
+    const auto samples_of = [](const std::vector<dsp::Waveform>& out) {
+      return static_cast<double>(out.size() * out[0].samples.size());
+    };
+
+    // Per lane, the 4-lane call must match the one-lane calls bit for bit
+    // over two rounds (noise streams and filter states in lockstep).
     {
-      phy::ReceiverFrontEnd fe_a{cfg, Rng{42}};
-      phy::ReceiverFrontEnd fe_b{cfg, Rng{42}};
-      const auto out_a = fe_a.process(optical);
-      dsp::Waveform out_b;
-      fe_b.process_into(optical, out_b);
-      if (out_a.samples != out_b.samples) r.identical = false;
+      auto fes_a = make_fes();
+      auto fes_b = make_fes();
+      std::vector<dsp::Waveform> out_a(kLanes);
+      std::vector<dsp::Waveform> out_b(kLanes);
+      for (int round = 0; round < 2; ++round) {
+        run_lanes(fes_a, out_a);
+        run_quad(fes_b, out_b);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          if (out_a[l].samples != out_b[l].samples) r.identical = false;
+        }
+      }
     }
 
-    {  // scalar timing (allocating process())
+    {  // scalar timing: four one-lane calls
       r.scalar.emplace();
-      phy::ReceiverFrontEnd fe{cfg, Rng{42}};
+      auto fes = make_fes();
+      std::vector<dsp::Waveform> out(kLanes);
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        const auto out = fe.process(optical);
-        r.scalar->work_items += static_cast<double>(out.samples.size());
+        run_lanes(fes, out);
+        r.scalar->work_items += samples_of(out);
       }
       r.scalar->wall_time_s = seconds_since(t0);
     }
 
-    {  // fast timing
-      phy::ReceiverFrontEnd fe{cfg, Rng{42}};
-      dsp::Waveform out;
-      fe.process_into(optical, out);  // warm-up
+    {  // fast timing: one 4-lane call
+      auto fes = make_fes();
+      std::vector<dsp::Waveform> out(kLanes);
+      run_quad(fes, out);  // warm-up
       const std::uint64_t allocs0 = bench::alloc_count();
       const auto t0 = Clock::now();
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        fe.process_into(optical, out);
-        r.fast.work_items += static_cast<double>(out.samples.size());
+        run_quad(fes, out);
+        r.fast.work_items += samples_of(out);
       }
       r.fast.wall_time_s = seconds_since(t0);
       r.steady_allocs = bench::alloc_count() - allocs0;
@@ -550,6 +597,7 @@ int main(int argc, char** argv) {
     dsp::Waveform wf;
     dsp::Waveform optical;
     dsp::Waveform rx_wf;
+    phy::ReceiverFrontEnd::BatchScratch fe_scratch;
 
     const auto run_one = [&](const phy::MacFrame& f) {
       mod.modulate_frame_into(f, false, 0, kGuardChips, wf, txs);
@@ -558,7 +606,10 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < wf.samples.size(); ++i) {
         optical.samples[i] = kOpticalWPerAmp * wf.samples[i];
       }
-      fe.process_into(optical, rx_wf);
+      phy::ReceiverFrontEnd* const fes[1] = {&fe};
+      const dsp::Waveform* const in[1] = {&optical};
+      dsp::Waveform* const out[1] = {&rx_wf};
+      phy::ReceiverFrontEnd::process_batch_into(fes, in, out, fe_scratch);
       const std::span<const double> lanes[] = {rx_wf.samples};
       if (demod.receive_batch_into(lanes, rx, rx_ok, rxs) != 1) return false;
       return rx[0].parsed.frame.payload == f.payload;

@@ -1,11 +1,9 @@
 // DVLC_HOT — zero-allocation sample path (see common/arena.hpp).
 #include "dsp/biquad.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <complex>
 
-#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "dsp/dsp_kernels.hpp"
@@ -25,23 +23,6 @@ double BiquadCascade::step(double x) {
 
 void BiquadCascade::process_block(std::span<double> x) {
   for (auto& s : sections_) s.process_block(x);
-}
-
-void BiquadCascade::process_into(const Waveform& in, Waveform& out) {
-  out.sample_rate_hz = in.sample_rate_hz;
-  arena_resize(out.samples, in.samples.size());
-  std::copy(in.samples.begin(), in.samples.end(), out.samples.begin());
-  process_block(out.samples);
-}
-
-Waveform BiquadCascade::process(const Waveform& in) {
-  Waveform out;
-  process_into(in, out);
-  return out;
-}
-
-void BiquadCascade::reset() {
-  for (auto& s : sections_) s.reset();
 }
 
 void process_cascades_x4(BiquadCascade* const cascades[4],

@@ -8,8 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/waveform.hpp"
-
 namespace densevlc::dsp {
 
 /// Normalized biquad coefficients (a0 == 1 implied):
@@ -38,9 +36,6 @@ class Biquad {
     for (double& v : x) v = step(v);
   }
 
-  /// Clears the delay line.
-  void reset() { s1_ = s2_ = 0.0; }
-
   const BiquadCoeffs& coeffs() const { return c_; }
 
   /// DF2T delay-line state, exposed so the x4 batch kernel can stage
@@ -66,21 +61,11 @@ class BiquadCascade {
   /// Processes one sample through every section.
   double step(double x);
 
-  /// Filters a whole waveform (stateful: continues from previous state).
-  Waveform process(const Waveform& in);
-
   /// Filters a block in place: one full-block pass per section, so each
   /// section's coefficients stay in registers for the whole block.
   /// Bit-identical to chaining step() sample by sample (each section's
   /// output depends only on its own state and input stream).
   void process_block(std::span<double> x);
-
-  /// process() into a reused waveform (see common/arena.hpp): zero heap
-  /// allocations once `out` has warmed up.
-  void process_into(const Waveform& in, Waveform& out);
-
-  /// Clears all delay lines.
-  void reset();
 
   /// Magnitude response |H(e^{j 2 pi f / fs})| of the cascade.
   double magnitude_at(double freq_hz, double sample_rate_hz) const;

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/arena.hpp"
 #include "dsp/dsp_kernels.hpp"
@@ -91,29 +90,6 @@ std::optional<PeakDetection> best_score(std::span<const double> scores,
 
 }  // namespace
 
-void normalized_correlate_into(std::span<const double> signal,
-                               std::span<const double> pattern,
-                               CorrelateScratch& scratch) {
-  arena_clear(scratch.scores);
-  if (pattern.empty() || signal.size() < pattern.size()) return;
-  score_positions(signal, pattern, 0, signal.size() - pattern.size() + 1,
-                  scratch);
-}
-
-std::vector<double> normalized_correlate(std::span<const double> signal,
-                                         std::span<const double> pattern) {
-  CorrelateScratch scratch;
-  normalized_correlate_into(signal, pattern, scratch);
-  return std::move(scratch.scores);
-}
-
-std::optional<PeakDetection> detect_pattern_into(
-    std::span<const double> signal, std::span<const double> pattern,
-    double threshold, CorrelateScratch& scratch) {
-  normalized_correlate_into(signal, pattern, scratch);
-  return best_score(scratch.scores, 0, threshold);
-}
-
 std::optional<PeakDetection> detect_pattern_into(
     std::span<const double> signal, std::span<const double> pattern,
     double threshold, std::size_t first, std::size_t last,
@@ -130,7 +106,8 @@ std::optional<PeakDetection> detect_pattern(std::span<const double> signal,
                                             std::span<const double> pattern,
                                             double threshold) {
   CorrelateScratch scratch;
-  return detect_pattern_into(signal, pattern, threshold, scratch);
+  return detect_pattern_into(signal, pattern, threshold, 0, signal.size(),
+                             scratch);
 }
 
 }  // namespace densevlc::dsp

@@ -47,31 +47,4 @@ std::optional<ChannelReport> decode_report(
   return report;
 }
 
-phy::MacFrame report_frame(const ChannelReport& report,
-                           std::uint16_t controller_addr) {
-  phy::MacFrame frame;
-  frame.dst = controller_addr;
-  frame.src = report.rx_id;
-  frame.protocol = static_cast<std::uint16_t>(phy::Protocol::kChannelReport);
-  frame.payload = encode_report(report);
-  return frame;
-}
-
-channel::ChannelMatrix matrix_from_reports(
-    std::span<const ChannelReport> reports, std::size_t num_tx,
-    std::size_t num_rx) {
-  channel::ChannelMatrix out{num_tx, num_rx,
-                             std::vector<double>(num_tx * num_rx, 0.0)};
-  // Later reports of the same RX overwrite earlier ones (span order is
-  // arrival order).
-  for (const auto& report : reports) {
-    if (report.rx_id >= num_rx) continue;
-    if (report.gains.size() != num_tx) continue;
-    for (std::size_t j = 0; j < num_tx; ++j) {
-      out.set_gain(j, report.rx_id, report.gains[j]);
-    }
-  }
-  return out;
-}
-
 }  // namespace densevlc::mac

@@ -34,7 +34,11 @@ Amperes ReceiverFrontEnd::noise_current_sigma(Hertz sample_rate) const {
 
 dsp::Waveform ReceiverFrontEnd::process(const dsp::Waveform& optical) {
   dsp::Waveform out;
-  process_into(optical, out);
+  ReceiverFrontEnd* const fe[1] = {this};
+  const dsp::Waveform* const in[1] = {&optical};
+  dsp::Waveform* const outs[1] = {&out};
+  BatchScratch scratch;  // a lone lane never fills a quad: stays empty
+  process_batch_into(fe, in, outs, scratch);
   return out;
 }
 
@@ -79,14 +83,6 @@ void ReceiverFrontEnd::adc_into(dsp::Waveform& out) {
     const std::uint32_t code = adc_.quantize(v + mid_rail_);
     v = adc_.code_to_volts(code) - mid_rail_;
   }
-}
-
-void ReceiverFrontEnd::process_into(const dsp::Waveform& optical,
-                                    dsp::Waveform& out) {
-  front_half_into(optical, out);
-  if (out.samples.empty()) return;
-  filters_into(out);
-  adc_into(out);
 }
 
 void ReceiverFrontEnd::process_batch_into(
@@ -172,11 +168,6 @@ void ReceiverFrontEnd::process_batch_into(
   for (std::size_t i = 0; i < n; ++i) {
     if (!out[i]->samples.empty()) fes[i]->adc_into(*out[i]);
   }
-}
-
-void ReceiverFrontEnd::reset() {
-  ac_stage_.reset();
-  lowpass_.reset();
 }
 
 }  // namespace densevlc::phy

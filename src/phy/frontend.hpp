@@ -47,16 +47,9 @@ class ReceiverFrontEnd {
   /// sampled at `optical.sample_rate_hz`. Returns the ADC output voltage
   /// referenced to mid-rail (i.e. zero-mean for a DC-free signal), at the
   /// ADC sample rate. Stateful across calls — filters keep their delay
-  /// lines so back-to-back calls model a continuous stream.
+  /// lines so back-to-back calls model a continuous stream. A one-lane
+  /// process_batch_into.
   dsp::Waveform process(const dsp::Waveform& optical);
-
-  /// process() into a reused waveform (see common/arena.hpp): zero heap
-  /// allocations once `out` has warmed up. Noise samples are drawn in the
-  /// same per-sample order as process(), so the output is bit-identical.
-  void process_into(const dsp::Waveform& optical, dsp::Waveform& out);
-
-  /// Resets all filter state (fresh reception).
-  void reset();
 
   /// Batch workspace for process_batch_into: 4-lane interleaved staging
   /// for the vector biquad kernel (see common/arena.hpp).
@@ -64,13 +57,14 @@ class ReceiverFrontEnd {
     AlignedVector<double> lanes;
   };
 
-  /// Processes many independent front-ends in one call. Bit-identical per
-  /// lane to fes[i]->process_into(*optical[i], *out[i]) called in order
-  /// (each front-end draws its own noise stream first, in lane order),
-  /// but the filter stages run four lanes at a time through the vector
-  /// biquad kernel. Lanes are grouped in encounter order; groups with
-  /// mismatched filter shapes and ragged tails fall back to the scalar
-  /// cascades, whose state continues seamlessly.
+  /// The receive chain, for many independent front-ends in one call;
+  /// `out[i]` is reused (see common/arena.hpp). Each front-end draws its
+  /// own noise stream first, in lane order; the filter stages then run
+  /// four lanes at a time through the vector biquad kernel. Lanes are
+  /// grouped in encounter order; groups with mismatched filter shapes,
+  /// ragged tails and a last group of fewer than four lanes run on the
+  /// scalar cascades, whose state continues seamlessly. So every lane is
+  /// bit-identical to a one-lane call on its front-end.
   static void process_batch_into(std::span<ReceiverFrontEnd* const> fes,
                                  std::span<const dsp::Waveform* const> optical,
                                  std::span<dsp::Waveform* const> out,
@@ -82,9 +76,9 @@ class ReceiverFrontEnd {
   Amperes noise_current_sigma(Hertz sample_rate) const;
 
  private:
-  // The three stages of process_into, split so the batch path can run
-  // them per lane / per quad: ZOH resample + noise + TIA, the AC-coupled
-  // gain and anti-aliasing filters, and the ADC round trip.
+  // The three stages of the chain, split so the batch path can run them
+  // per lane / per quad: ZOH resample + noise + TIA, the AC-coupled gain
+  // and anti-aliasing filters, and the ADC round trip.
   void front_half_into(const dsp::Waveform& optical, dsp::Waveform& out);
   void filters_into(dsp::Waveform& out);
   void adc_into(dsp::Waveform& out);

@@ -46,20 +46,6 @@ void deinterleave_into(std::span<const std::uint8_t> data, std::size_t depth,
   }
 }
 
-std::vector<std::uint8_t> interleave(std::span<const std::uint8_t> data,
-                                     std::size_t depth) {
-  std::vector<std::uint8_t> out(data.size());
-  interleave_into(data, depth, out);
-  return out;
-}
-
-std::vector<std::uint8_t> deinterleave(std::span<const std::uint8_t> data,
-                                       std::size_t depth) {
-  std::vector<std::uint8_t> out(data.size());
-  deinterleave_into(data, depth, out);
-  return out;
-}
-
 std::size_t burst_tolerance(std::size_t depth, std::size_t rs_capacity) {
   if (depth <= 1) return rs_capacity;
   // A burst of length L covers at most ceil(L / depth) consecutive

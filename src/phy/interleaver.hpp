@@ -13,32 +13,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace densevlc::phy {
 
-/// Interleaves `data` with the given depth (row count). Depth 0 or 1, or
-/// data shorter than two rows, returns the input unchanged. The
+// The permutation is generated on the fly instead of materialized, so
+// neither direction allocates (see common/arena.hpp). `out` must have the
+// size of `data` and must not alias it.
+
+/// Interleaves `data` with the given depth (row count) into `out`. Depth
+/// 0 or 1, or data shorter than two rows, copies the input unchanged. The
 /// transform pads internally but the output always has the input's size
 /// (pad positions are skipped during read-out), so it is exactly
-/// invertible by deinterleave() with the same depth.
-std::vector<std::uint8_t> interleave(std::span<const std::uint8_t> data,
-                                     std::size_t depth);
-
-/// Inverse of interleave() for the same depth.
-std::vector<std::uint8_t> deinterleave(std::span<const std::uint8_t> data,
-                                       std::size_t depth);
-
-// --- Zero-allocation overloads (see common/arena.hpp) -------------------
-//
-// The permutation is generated on the fly instead of materialized, so
-// these never allocate. `out` must have the size of `data` and must not
-// alias it. Bit-identical to the value-returning functions, which wrap
-// them.
-
+/// invertible by deinterleave_into() with the same depth.
 void interleave_into(std::span<const std::uint8_t> data, std::size_t depth,
                      std::span<std::uint8_t> out);
 
+/// Inverse of interleave_into() for the same depth.
 void deinterleave_into(std::span<const std::uint8_t> data, std::size_t depth,
                        std::span<std::uint8_t> out);
 

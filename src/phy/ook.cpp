@@ -11,6 +11,32 @@
 #include "dsp/correlate.hpp"
 
 namespace densevlc::phy {
+namespace {
+
+// Slices chips first, first + 1, ... up to out.size() of a stream whose
+// chip 0 starts at sample `offset_samples`: chip i integrates its window
+// from offset_samples + i * spc wherever the slicing starts.
+void slice_chip_range(std::span<const double> signal, double offset_samples,
+                      double spc, std::size_t first, std::span<Chip> out) {
+  for (std::size_t i = first; i < out.size(); ++i) {
+    const double start = offset_samples + static_cast<double>(i) * spc;
+    // Integrate the central half of the chip to dodge edge transients.
+    const auto lo = static_cast<std::size_t>(
+        std::max(0.0, start + 0.25 * spc));
+    const auto hi = static_cast<std::size_t>(
+        std::max(0.0, start + 0.75 * spc));
+    double acc = 0.0;
+    std::size_t n = 0;
+    for (std::size_t s = lo; s <= hi && s < signal.size(); ++s) {
+      acc += signal[s];
+      ++n;
+    }
+    const double mean = n > 0 ? acc / static_cast<double>(n) : 0.0;
+    out[i] = mean > 0.0 ? Chip::kHigh : Chip::kLow;
+  }
+}
+
+}  // namespace
 
 double OokModulator::chip_current(Chip chip) const {
   const double half = params_.swing_current_a / 2.0;
@@ -83,23 +109,7 @@ void OokDemodulator::slice_chips_into(std::span<const double> signal,
                                       double offset_samples, std::size_t count,
                                       std::vector<Chip>& out) const {
   arena_resize(out, count);
-  const double spc = samples_per_chip();
-  for (std::size_t i = 0; i < count; ++i) {
-    const double start = offset_samples + static_cast<double>(i) * spc;
-    // Integrate the central half of the chip to dodge edge transients.
-    const auto lo = static_cast<std::size_t>(
-        std::max(0.0, start + 0.25 * spc));
-    const auto hi = static_cast<std::size_t>(
-        std::max(0.0, start + 0.75 * spc));
-    double acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t s = lo; s <= hi && s < signal.size(); ++s) {
-      acc += signal[s];
-      ++n;
-    }
-    const double mean = n > 0 ? acc / static_cast<double>(n) : 0.0;
-    out[i] = mean > 0.0 ? Chip::kHigh : Chip::kLow;
-  }
+  slice_chip_range(signal, offset_samples, samples_per_chip(), 0, out);
 }
 
 std::vector<Chip> OokDemodulator::slice_chips(std::span<const double> signal,
@@ -142,31 +152,39 @@ std::size_t OokDemodulator::receive_batch_into(
   // Manchester decode. Lanes that survive collect their wire bytes (kept
   // per lane so spans stay stable) for one combined parse_frames_batch
   // call.
+  const double spc = samples_per_chip();
+  constexpr std::size_t kHeaderChips = kHeaderBytes * 16;
   std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ok[i] = 0;
     const std::span<const double> signal = signals[i];
-    const auto peak = dsp::detect_pattern_into(signal, scratch.preamble_tpl,
-                                               min_correlation,
-                                               scratch.correlate);
+    const auto peak = dsp::detect_pattern_into(
+        signal, scratch.preamble_tpl, min_correlation, 0, signal.size(),
+        scratch.correlate);
     if (!peak) continue;
-    const double spc = samples_per_chip();
     const double data_start =
         static_cast<double>(peak->index) +
         static_cast<double>(kPreambleChips) * spc;
 
-    slice_chips_into(signal, data_start, kHeaderBytes * 16, scratch.chips);
-    std::array<std::uint8_t, kHeaderBytes> head_bytes{};
-    manchester_decode_bytes_lenient(scratch.chips, head_bytes);
-    const std::optional<std::uint16_t> length = read_frame_length(head_bytes);
+    // The header is decoded once, straight into the lane's bytes; the
+    // rest of the frame is sliced and decoded after it.
+    std::vector<std::uint8_t>& bytes = scratch.lane_bytes[k];
+    arena_resize(scratch.chips, kHeaderChips);
+    slice_chip_range(signal, data_start, spc, 0, scratch.chips);
+    arena_resize(bytes, kHeaderBytes);
+    std::size_t violations =
+        manchester_decode_bytes_lenient(scratch.chips, bytes);
+    const std::optional<std::uint16_t> length = read_frame_length(bytes);
     if (!length) continue;
 
     const std::size_t total_bytes = serialized_frame_bytes(*length);
-    slice_chips_into(signal, data_start, total_bytes * 16, scratch.chips);
-    std::vector<std::uint8_t>& bytes = scratch.lane_bytes[k];
+    arena_resize(scratch.chips, total_bytes * 16);
+    slice_chip_range(signal, data_start, spc, kHeaderChips, scratch.chips);
     arena_resize(bytes, total_bytes);
-    out[i].manchester_violations =
-        manchester_decode_bytes_lenient(scratch.chips, bytes);
+    violations += manchester_decode_bytes_lenient(
+        std::span<const Chip>{scratch.chips}.subspan(kHeaderChips),
+        std::span<std::uint8_t>{bytes}.subspan(kHeaderBytes));
+    out[i].manchester_violations = violations;
     out[i].preamble_at = peak->index;
     out[i].correlation = peak->score;
     scratch.wire_views[k] = {bytes.data(), bytes.size()};

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -471,24 +470,6 @@ SpecParseResult parse_spec(const std::string& text) {
   }
   if (result.errors.empty()) result.spec = std::move(spec);
   return result;
-}
-
-SpecParseResult load_spec_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    SpecParseResult result;
-    result.errors.push_back(
-        {path, "cannot open scenario file (missing or unreadable)"});
-    return result;
-  }
-  std::string text{std::istreambuf_iterator<char>{in},
-                   std::istreambuf_iterator<char>{}};
-  if (in.bad()) {
-    SpecParseResult result;
-    result.errors.push_back({path, "read error while loading scenario file"});
-    return result;
-  }
-  return parse_spec(text);
 }
 
 std::string serialize_spec(const ScenarioSpec& spec) {

@@ -125,10 +125,6 @@ struct SpecParseResult {
 /// out-of-range fields are typed errors; nothing is silently defaulted.
 [[nodiscard]] SpecParseResult parse_spec(const std::string& text);
 
-/// Reads and parses a scenario file. A missing or unreadable path is a
-/// typed SpecError whose key carries the path — never an empty parse.
-[[nodiscard]] SpecParseResult load_spec_file(const std::string& path);
-
 /// Applies one "key = value" override to an already-parsed spec (sweep
 /// axes and CLI overrides use this). Returns the error when the key is
 /// unknown or the value malformed; the caller re-validates the whole

@@ -13,7 +13,10 @@ namespace {
 TEST(Correlate, PatternLongerThanSignalIsEmpty) {
   const std::vector<double> signal{1.0};
   const std::vector<double> pattern{1.0, 2.0};
-  EXPECT_TRUE(normalized_correlate(signal, pattern).empty());
+  CorrelateScratch scratch;
+  EXPECT_FALSE(detect_pattern_into(signal, pattern, -2.0, 0, signal.size(),
+                                   scratch));
+  EXPECT_TRUE(scratch.scores.empty());
 }
 
 TEST(NormalizedCorrelate, PerfectMatchScoresOne) {
@@ -21,31 +24,36 @@ TEST(NormalizedCorrelate, PerfectMatchScoresOne) {
   std::vector<double> signal{0.0, 0.0};
   signal.insert(signal.end(), pattern.begin(), pattern.end());
   signal.insert(signal.end(), {0.0, 0.0});
-  const auto scores = normalized_correlate(signal, pattern);
-  EXPECT_NEAR(scores[2], 1.0, 1e-12);
+  CorrelateScratch scratch;
+  (void)detect_pattern_into(signal, pattern, -2.0, 0, signal.size(), scratch);
+  EXPECT_NEAR(scratch.scores[2], 1.0, 1e-12);
 }
 
 TEST(NormalizedCorrelate, InvariantToGainAndOffset) {
   const std::vector<double> pattern{1.0, -1.0, 1.0, -1.0, 1.0, 1.0};
   std::vector<double> signal;
   for (double p : pattern) signal.push_back(3.7 + 0.01 * p);  // tiny + offset
-  const auto scores = normalized_correlate(signal, pattern);
-  ASSERT_EQ(scores.size(), 1u);
-  EXPECT_NEAR(scores[0], 1.0, 1e-9);
+  CorrelateScratch scratch;
+  (void)detect_pattern_into(signal, pattern, -2.0, 0, signal.size(), scratch);
+  ASSERT_EQ(scratch.scores.size(), 1u);
+  EXPECT_NEAR(scratch.scores[0], 1.0, 1e-9);
 }
 
 TEST(NormalizedCorrelate, AntiCorrelatedScoresMinusOne) {
   const std::vector<double> pattern{1.0, -1.0, 1.0, -1.0};
   std::vector<double> signal;
   for (double p : pattern) signal.push_back(-p);
-  const auto scores = normalized_correlate(signal, pattern);
-  EXPECT_NEAR(scores[0], -1.0, 1e-12);
+  CorrelateScratch scratch;
+  (void)detect_pattern_into(signal, pattern, -2.0, 0, signal.size(), scratch);
+  EXPECT_NEAR(scratch.scores[0], -1.0, 1e-12);
 }
 
 TEST(NormalizedCorrelate, FlatWindowScoresZero) {
   const std::vector<double> pattern{1.0, -1.0, 1.0, -1.0};
   const std::vector<double> signal(10, 2.5);
-  for (double s : normalized_correlate(signal, pattern)) {
+  CorrelateScratch scratch;
+  (void)detect_pattern_into(signal, pattern, -2.0, 0, signal.size(), scratch);
+  for (double s : scratch.scores) {
     EXPECT_DOUBLE_EQ(s, 0.0);
   }
 }
@@ -53,7 +61,9 @@ TEST(NormalizedCorrelate, FlatWindowScoresZero) {
 TEST(NormalizedCorrelate, FlatPatternScoresZero) {
   const std::vector<double> pattern(4, 1.0);
   const std::vector<double> signal{1.0, -1.0, 1.0, -1.0, 1.0, -1.0};
-  for (double s : normalized_correlate(signal, pattern)) {
+  CorrelateScratch scratch;
+  (void)detect_pattern_into(signal, pattern, -2.0, 0, signal.size(), scratch);
+  for (double s : scratch.scores) {
     EXPECT_DOUBLE_EQ(s, 0.0);
   }
 }

@@ -58,7 +58,7 @@ TEST_P(CorrelateRange, ScoresMatchFullSearchBitwise) {
     const auto n = m + static_cast<std::size_t>(rng.uniform_int(0, 120));
     const Case c = make_case(rng, n, m, n / 3, 1.0);
     CorrelateScratch full;
-    normalized_correlate_into(c.signal, c.pattern, full);
+    (void)detect_pattern_into(c.signal, c.pattern, -2.0, 0, n, full);
     const std::size_t positions = n - m + 1;
     ASSERT_EQ(full.scores.size(), positions);
     const auto first = static_cast<std::size_t>(

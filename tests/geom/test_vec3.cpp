@@ -41,10 +41,6 @@ TEST(Vec3, CrossProductOrthogonal) {
   EXPECT_NEAR(c.dot(b), 0.0, 1e-12);
 }
 
-TEST(Vec3, Distance) {
-  EXPECT_DOUBLE_EQ(distance({0, 0, 0}, {3, 4, 0}), 5.0);
-}
-
 TEST(Pose, CeilingFacesDown) {
   const Pose p = ceiling_pose(1.0, 2.0, 2.8);
   EXPECT_EQ(p.position, (Vec3{1.0, 2.0, 2.8}));

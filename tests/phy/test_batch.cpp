@@ -2,7 +2,7 @@
 //
 // The batch parser is held lane for lane against the frozen scalar
 // parser in bench/phy_reference, the front-end quad processing against
-// sequential process_into calls, and JointTransmission::transmit_batch
+// one-lane calls, and JointTransmission::transmit_batch
 // against one-job calls (same outcomes, same Rng stream). The receiver
 // has no per-frame twin: each lane is checked against the frame that was
 // sent, with one lane per reject path. Like test_fastpath, the whole
@@ -167,7 +167,15 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
   const phy::OokDemodulator demod{params.chip_rate_hz,
                                   params.sample_rate_hz()};
 
-  enum class Lane { kClean, kCorrected, kNoise, kBadSfd, kBadLength, kBadRs };
+  enum class Lane {
+    kClean,
+    kCorrected,
+    kNoise,
+    kBadSfd,
+    kBadLength,
+    kBadRs,
+    kHeaderViolation,
+  };
   struct Case {
     Lane kind;
     phy::MacFrame frame;
@@ -182,6 +190,7 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
       {Lane::kCorrected, make_frame(90, rng)},
       {Lane::kBadRs, make_frame(100, rng)},
       {Lane::kClean, make_frame(40, rng)},
+      {Lane::kHeaderViolation, make_frame(40, rng)},
   };
 
   std::vector<std::vector<double>> lanes;
@@ -210,6 +219,14 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
       case Lane::kBadRs:
         invert_wire_bytes(lane, 9 + 10, 20);  // 20 > 8 correctable bytes
         break;
+      case Lane::kHeaderViolation: {
+        // Wire byte 7, the protocol's high byte (0x00 for kData), after
+        // the length: its MSB's first chip copies the second, so the pair
+        // has no transition. The violation decodes to the sent 0 bit.
+        const std::size_t at = kSfdSample + 160 * 7;
+        for (std::size_t s = at; s < at + 10; ++s) lane[s] = lane[s + 10];
+        break;
+      }
       default:
         break;
     }
@@ -227,7 +244,8 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
   std::size_t expected_decoded = 0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Lane kind = cases[i].kind;
-    if (kind != Lane::kClean && kind != Lane::kCorrected) {
+    if (kind != Lane::kClean && kind != Lane::kCorrected &&
+        kind != Lane::kHeaderViolation) {
       EXPECT_EQ(ok[i], 0) << "lane " << i;
       continue;
     }
@@ -237,7 +255,9 @@ TEST_P(Batch, ReceiveBatchMatchesReceiveFrame) {
     EXPECT_EQ(r.parsed.frame, cases[i].frame) << "lane " << i;
     EXPECT_EQ(r.preamble_at, 8u * 10u) << "lane " << i;
     EXPECT_GT(r.correlation, 0.95) << "lane " << i;
-    EXPECT_EQ(r.manchester_violations, 0u) << "lane " << i;
+    EXPECT_EQ(r.manchester_violations,
+              kind == Lane::kHeaderViolation ? 1u : 0u)
+        << "lane " << i;
     EXPECT_EQ(r.parsed.corrected_bytes, kind == Lane::kCorrected ? 3u : 0u)
         << "lane " << i;
   }
@@ -284,7 +304,11 @@ TEST_P(Batch, FrontEndBatchMatchesSequential) {
   phy::ReceiverFrontEnd::BatchScratch scratch;
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < optical.size(); ++i) {
-      seq_fes[i].process_into(optical[i], expect[i]);
+      // One-lane calls: every lane runs alone on the scalar cascades.
+      phy::ReceiverFrontEnd* const fe[1] = {&seq_fes[i]};
+      const dsp::Waveform* const in[1] = {&optical[i]};
+      dsp::Waveform* const out[1] = {&expect[i]};
+      phy::ReceiverFrontEnd::process_batch_into(fe, in, out, scratch);
     }
     std::vector<phy::ReceiverFrontEnd*> fes;
     std::vector<const dsp::Waveform*> in;

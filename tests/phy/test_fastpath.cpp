@@ -26,7 +26,6 @@
 #include "dsp/waveform.hpp"
 #include "phy/frame.hpp"
 #include "phy/frame_codec.hpp"
-#include "phy/frontend.hpp"
 #include "phy/interleaver.hpp"
 #include "phy/manchester.hpp"
 #include "phy/ook.hpp"
@@ -121,12 +120,13 @@ TEST_P(FastPath, InterleaverMatchesScalarReference) {
   Rng rng{0xB1};
   for (std::size_t n : {0, 1, 7, 200, 648, 1000}) {
     const auto data = random_bytes(n, rng);
+    std::vector<std::uint8_t> out(data.size());
     for (std::size_t depth : {0, 1, 2, 3, 8}) {
-      EXPECT_EQ(phy::interleave(data, depth),
-                bench::ref::interleave(data, depth))
+      phy::interleave_into(data, depth, out);
+      EXPECT_EQ(out, bench::ref::interleave(data, depth))
           << "n=" << n << " depth=" << depth;
-      EXPECT_EQ(phy::deinterleave(data, depth),
-                bench::ref::deinterleave(data, depth))
+      phy::deinterleave_into(data, depth, out);
+      EXPECT_EQ(out, bench::ref::deinterleave(data, depth))
           << "n=" << n << " depth=" << depth;
     }
   }
@@ -247,28 +247,6 @@ TEST_P(FastPath, CodecChipPipelineMatchesScalarReference) {
   }
 }
 
-// --- OOK / front end -----------------------------------------------------
-
-TEST_P(FastPath, FrontEndProcessIntoMatchesValueApi) {
-  phy::FrontEndConfig cfg{};  // default noisy configuration
-  phy::ReceiverFrontEnd fe_a{cfg, Rng{99}};
-  phy::ReceiverFrontEnd fe_b{cfg, Rng{99}};
-  dsp::Waveform optical;
-  optical.sample_rate_hz = 1e6;
-  optical.samples.assign(20000, 0.0);
-  for (std::size_t i = 0; i < optical.samples.size(); ++i) {
-    optical.samples[i] = (i / 10) % 2 == 0 ? 2.5e-6 : 0.0;
-  }
-  dsp::Waveform out_b;
-  // Two back-to-back calls: filter and RNG state must stay in lockstep.
-  for (int pass = 0; pass < 2; ++pass) {
-    const auto out_a = fe_a.process(optical);
-    fe_b.process_into(optical, out_b);
-    EXPECT_EQ(out_a.samples, out_b.samples) << "pass=" << pass;
-    EXPECT_EQ(out_a.sample_rate_hz, out_b.sample_rate_hz);
-  }
-}
-
 // --- Exhaustive byte-domain sweeps ---------------------------------------
 
 TEST_P(FastPath, ManchesterAllByteValuesMatchScalarReference) {
@@ -346,8 +324,8 @@ TEST_P(FastPath, CodecSteadyStateIsAllocationFree) {
     ASSERT_TRUE(codec.decode_into(bytes, parsed, cscr));
   };
   run_one();  // warm-up: buffers reach steady-state capacity here
-  ASSERT_TRUE(arena_warm(chips, wire.size() * 16));
-  ASSERT_TRUE(arena_warm(bytes, chips.size() / 16));
+  ASSERT_GE(chips.capacity(), wire.size() * 16);
+  ASSERT_GE(bytes.capacity(), chips.size() / 16);
   const std::uint64_t before = bench::alloc_count();
   for (int i = 0; i < 10; ++i) run_one();
   EXPECT_EQ(bench::alloc_count() - before, 0u);

@@ -118,17 +118,5 @@ TEST(FrontEnd, QuantizationVisibleOnTinySignals) {
   for (double v : out.samples) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(FrontEnd, ResetClearsFilters) {
-  ReceiverFrontEnd fe{quiet_config(), Rng{7}};
-  const auto in = square_optical(0.0, 1e-5, 10e-6, 100, 4e6);
-  const auto first = fe.process(in);
-  fe.reset();
-  const auto second = fe.process(in);
-  ASSERT_EQ(first.samples.size(), second.samples.size());
-  for (std::size_t i = 0; i < first.samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first.samples[i], second.samples[i]);
-  }
-}
-
 }  // namespace
 }  // namespace densevlc::phy

@@ -15,15 +15,20 @@ namespace {
 
 TEST(Interleaver, DepthOneIsIdentity) {
   const std::vector<std::uint8_t> data{1, 2, 3, 4, 5};
-  EXPECT_EQ(interleave(data, 0), data);
-  EXPECT_EQ(interleave(data, 1), data);
-  EXPECT_EQ(deinterleave(data, 1), data);
+  std::vector<std::uint8_t> out(data.size());
+  interleave_into(data, 0, out);
+  EXPECT_EQ(out, data);
+  interleave_into(data, 1, out);
+  EXPECT_EQ(out, data);
+  deinterleave_into(data, 1, out);
+  EXPECT_EQ(out, data);
 }
 
 TEST(Interleaver, KnownSmallCase) {
   // 6 bytes, depth 2: rows [0 1 2 / 3 4 5], column read: 0 3 1 4 2 5.
   const std::vector<std::uint8_t> data{0, 1, 2, 3, 4, 5};
-  const auto out = interleave(data, 2);
+  std::vector<std::uint8_t> out(data.size());
+  interleave_into(data, 2, out);
   EXPECT_EQ(out, (std::vector<std::uint8_t>{0, 3, 1, 4, 2, 5}));
 }
 
@@ -35,7 +40,10 @@ TEST(Interleaver, RoundTripExact) {
       for (auto& b : data) {
         b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       }
-      const auto rt = deinterleave(interleave(data, depth), depth);
+      std::vector<std::uint8_t> wire(size);
+      std::vector<std::uint8_t> rt(size);
+      interleave_into(data, depth, wire);
+      deinterleave_into(wire, depth, rt);
       EXPECT_EQ(rt, data) << "size " << size << " depth " << depth;
     }
   }
@@ -44,8 +52,8 @@ TEST(Interleaver, RoundTripExact) {
 TEST(Interleaver, OutputIsPermutation) {
   std::vector<std::uint8_t> data(97);
   std::iota(data.begin(), data.end(), 0);
-  const auto out = interleave(data, 7);
-  auto sorted = out;
+  std::vector<std::uint8_t> sorted(data.size());
+  interleave_into(data, 7, sorted);
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, data);
 }
@@ -55,10 +63,12 @@ TEST(Interleaver, SpreadsBursts) {
   // deinterleaving, are at least `depth` apart.
   std::vector<std::uint8_t> data(200, 0);
   const std::size_t depth = 8;
-  auto wire = interleave(data, depth);
+  std::vector<std::uint8_t> wire(data.size());
+  interleave_into(data, depth, wire);
   // Corrupt a 16-byte burst on the wire.
   for (std::size_t i = 50; i < 66; ++i) wire[i] = 0xFF;
-  const auto restored = deinterleave(wire, depth);
+  std::vector<std::uint8_t> restored(wire.size());
+  deinterleave_into(wire, depth, restored);
   // Count the longest run of corrupted positions after deinterleaving.
   std::size_t longest = 0;
   std::size_t run = 0;
@@ -110,7 +120,11 @@ TEST(Interleaver, RescuesRsFromBurst) {
 
   // With matched-depth interleaving all four codewords decode.
   {
-    const auto hit = deinterleave(corrupt(interleave(wire, depth)), depth);
+    std::vector<std::uint8_t> mixed(wire.size());
+    interleave_into(wire, depth, mixed);
+    const auto mixed_hit = corrupt(mixed);
+    std::vector<std::uint8_t> hit(wire.size());
+    deinterleave_into(mixed_hit, depth, hit);
     for (std::size_t b = 0; b < depth; ++b) {
       const auto cw = std::vector<std::uint8_t>(
           hit.begin() + static_cast<std::ptrdiff_t>(b * 216),

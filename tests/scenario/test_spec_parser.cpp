@@ -250,32 +250,5 @@ TEST(SpecParser, BadSpecCorpusRejectsWithAnnotatedKey) {
   EXPECT_GE(cases, 8u) << "bad-spec corpus went missing";
 }
 
-TEST(SpecParser, LoadSpecFileMissingPathIsTypedError) {
-  const std::string path = "/nonexistent_dvlc_dir/missing_scenario.ini";
-  const SpecParseResult result = load_spec_file(path);
-  ASSERT_FALSE(result.ok());
-  ASSERT_EQ(result.errors.size(), 1u);
-  // The error must carry the offending path, not a generic message.
-  EXPECT_EQ(result.errors[0].key, path);
-  EXPECT_NE(result.errors[0].message.find("missing or unreadable"),
-            std::string::npos)
-      << result.error_text();
-}
-
-TEST(SpecParser, LoadSpecFileRoundTripsSerializedSpec) {
-  const SpecParseResult parsed = parse_spec(valid_text());
-  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "dvlc_load_spec_file.ini";
-  {
-    std::ofstream out{path};
-    out << serialize_spec(*parsed.spec);
-    ASSERT_TRUE(out.good());
-  }
-  const SpecParseResult result = load_spec_file(path.string());
-  ASSERT_TRUE(result.ok()) << result.error_text();
-  EXPECT_EQ(serialize_spec(*result.spec), serialize_spec(*parsed.spec));
-}
-
 }  // namespace
 }  // namespace densevlc::scenario

@@ -6,9 +6,10 @@
 //                    for non-inline functions, the one definition in the
 //                    paired .cpp). "Used by its own header" (an inline
 //                    helper another inline function calls) clears it, as
-//                    does any mention anywhere else in the analyzed tree,
-//                    so run the pass over tests/ too or a test-only API
-//                    will look dead.
+//                    does any mention anywhere else in the analyzed tree.
+//                    Tests are not users: the analyzer_no_test_only_api
+//                    ctest runs this pass without tests/, so a function
+//                    that only a test calls is reported as dead.
 //   api-pair-drift   a `foo_into(out, ...)` overload whose value wrapper
 //                    `foo(...)` exists but no longer takes one fewer
 //                    parameter — the pair's signatures drifted apart, so
